@@ -187,8 +187,9 @@ void NetFrontEnd::ConnReady(size_t loop_index, uint64_t conn_id,
 
 void NetFrontEnd::ReadReady(LoopState& state, Conn& conn) {
   char chunk[16384];
-  size_t got = 0;
-  while (true) {
+  // A dead connection reads nothing more; it closes once its queued
+  // responses are out.
+  while (!conn.dead) {
     const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -201,16 +202,15 @@ void NetFrontEnd::ReadReady(LoopState& state, Conn& conn) {
       break;
     }
     conn.in.append(chunk, static_cast<size_t>(n));
-    got += static_cast<size_t>(n);
-  }
-  if (conn.codec == Codec::kUnknown && !conn.in.empty()) {
-    conn.codec = static_cast<uint8_t>(conn.in[0]) == kWireMagic
-                     ? Codec::kBinary
-                     : Codec::kLineJson;
-  }
-  if (got > 0) {
+    if (conn.codec == Codec::kUnknown) {
+      conn.codec = static_cast<uint8_t>(conn.in[0]) == kWireMagic
+                       ? Codec::kBinary
+                       : Codec::kLineJson;
+    }
     (conn.codec == Codec::kBinary ? bytes_read_binary_ : bytes_read_json_)
-        ->Increment(static_cast<int64_t>(got));
+        ->Increment(static_cast<int64_t>(n));
+    // Decoding chunk by chunk keeps conn.in within one chunk of the
+    // codec's size cap, however fast the peer writes.
     DrainInput(state, conn);
   }
   MaybeFinish(state, conn);
@@ -246,10 +246,12 @@ void NetFrontEnd::DrainInput(LoopState& state, Conn& conn) {
     }
     return;
   }
-  // Line-JSON codec: identical line discipline to the legacy TcpServer.
+  // Line-JSON codec. The newline search resumes past the bytes earlier
+  // drains already scanned, so a line costs linear time however it is
+  // chunked.
   size_t start = 0;
-  for (size_t nl = conn.in.find('\n', start); nl != std::string::npos;
-       nl = conn.in.find('\n', start)) {
+  for (size_t nl = conn.in.find('\n', conn.line_scanned);
+       nl != std::string::npos; nl = conn.in.find('\n', start)) {
     std::string line = conn.in.substr(start, nl - start);
     start = nl + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -262,6 +264,16 @@ void NetFrontEnd::DrainInput(LoopState& state, Conn& conn) {
     DispatchRequest(conn, *parsed);
   }
   conn.in.erase(0, start);
+  conn.line_scanned = conn.in.size();
+  if (conn.in.size() > kMaxFramePayload) {
+    // A pending line longer than the binary codec's frame cap: answer a
+    // typed error, then close once it is flushed, as for a corrupt frame.
+    DispatchError(conn, -1,
+                  Status::OutOfRange("request line exceeds " +
+                                     std::to_string(kMaxFramePayload) +
+                                     " bytes without a newline"));
+    conn.dead = true;
+  }
 }
 
 void NetFrontEnd::DispatchRequest(Conn& conn, const service::WireRequest& req) {
@@ -347,16 +359,13 @@ void NetFrontEnd::TryFlush(LoopState& state, Conn& conn) {
 
 void NetFrontEnd::MaybeFinish(LoopState& state, Conn& conn) {
   if (!conn.out.empty()) return;
-  if (conn.shutdown_after && conn.inflight == 0) {
-    const int fd = conn.fd;
+  if (conn.inflight > 0) return;
+  if (conn.shutdown_after) {
     CloseConn(state, conn);
-    (void)fd;
     Stop();
     return;
   }
-  if (conn.dead || (conn.peer_closed && conn.inflight == 0)) {
-    CloseConn(state, conn);
-  }
+  if (conn.dead || conn.peer_closed) CloseConn(state, conn);
 }
 
 void NetFrontEnd::CloseConn(LoopState& state, Conn& conn) {

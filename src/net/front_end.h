@@ -12,9 +12,15 @@
 //
 // Codec auto-detection: the first byte of a connection decides. 0xB5
 // (kWireMagic, never valid leading JSON) selects the binary framing from
-// net/wire.h; anything else selects the legacy line-JSON codec. Both
-// codecs produce byte-identical response documents because the binary
-// response payload *is* the line-JSON text.
+// net/wire.h; anything else selects the line-JSON codec. Both codecs
+// produce byte-identical response documents because the binary response
+// payload *is* the line-JSON text.
+//
+// Input is bounded per connection by kMaxFramePayload. A longer (or
+// otherwise corrupt) binary frame, or a pending line-JSON line past the
+// cap, kills the connection: the line codec answers a typed kOutOfRange
+// error first, and either way the connection closes once the responses
+// it is owed are flushed. Other connections are unaffected.
 //
 // Responses complete in solve order, not arrival order — pipelined
 // clients correlate by the echoed `id` field.
@@ -42,8 +48,8 @@ class NetFrontEnd {
  public:
   /// Receives one decoded request; must call `done(response, shutdown)`
   /// exactly once (any thread). The default dispatch is
-  /// router->HandleAsync; licm_serve swaps in a coalescing wrapper or a
-  /// shard proxy here.
+  /// router->HandleAsync; a wrapper set here sees every request and its
+  /// completion (e.g. to time each request end to end).
   using Dispatch = std::function<void(
       const service::WireRequest&, std::function<void(std::string, bool)>)>;
 
@@ -81,10 +87,11 @@ class NetFrontEnd {
     size_t loop_index = 0;
     Codec codec = Codec::kUnknown;
     std::string in;
+    size_t line_scanned = 0;    // line-JSON: prefix of `in` with no '\n'
     std::string out;
     bool want_write = false;    // EPOLLOUT armed
     bool peer_closed = false;   // read side saw EOF
-    bool dead = false;          // codec error — close once out drains
+    bool dead = false;          // codec error — close once answered
     bool shutdown_after = false;  // stop the server once out drains
     int64_t inflight = 0;       // dispatched, response not yet delivered
   };

@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <istream>
@@ -188,122 +187,6 @@ int64_t RunBatch(RequestRouter* router, std::istream& in, std::ostream& out) {
     if (shutdown) break;
   }
   return handled;
-}
-
-TcpServer::~TcpServer() {
-  Stop();
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-Status TcpServer::Listen(const std::string& host, int port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad listen address '" + host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return Status::IOError(std::string("bind: ") + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    return Status::IOError(std::string("listen: ") + std::strerror(errno));
-  }
-  sockaddr_in bound;
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) !=
-      0) {
-    return Status::IOError(std::string("getsockname: ") +
-                               std::strerror(errno));
-  }
-  port_ = ntohs(bound.sin_port);
-  return Status::OK();
-}
-
-Status TcpServer::Serve() {
-  if (listen_fd_ < 0) return Status::Internal("Serve() before Listen()");
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("accept: ") +
-                                 std::strerror(errno));
-    }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) t.join();
-  return Status::OK();
-}
-
-void TcpServer::Stop() {
-  if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  // Unblock accept() and any connection reads so Serve() can drain.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-}
-
-void TcpServer::HandleConnection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool shutdown_requested = false;
-  bool peer_gone = false;
-  while (!shutdown_requested && !peer_gone) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;  // signal, not peer state
-    if (n <= 0) break;  // client closed, or Stop() shut the socket down
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t start = 0;
-    for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.find_first_not_of(" \t") == std::string::npos) continue;
-      std::string response = router_->Handle(line, &shutdown_requested);
-      response += "\n";
-      size_t sent = 0;
-      while (sent < response.size()) {
-        const ssize_t w =
-            ::send(fd, response.data() + sent, response.size() - sent,
-                   MSG_NOSIGNAL);
-        if (w < 0 && errno == EINTR) continue;  // partial write: resume
-        if (w <= 0) {
-          peer_gone = true;
-          break;
-        }
-        sent += static_cast<size_t>(w);
-      }
-      if (shutdown_requested || peer_gone) break;
-    }
-    buffer.erase(0, start);
-  }
-  ::close(fd);
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                    conn_fds_.end());
-  }
-  if (shutdown_requested) Stop();
 }
 
 MetricsHttpServer::~MetricsHttpServer() {

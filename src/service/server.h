@@ -1,18 +1,16 @@
-// Transports for the line-oriented protocol (service/protocol.h): a
-// dependency-free POSIX TCP server (thread per connection) and a
-// stdin/stdout batch mode. Both feed identical lines through one
-// RequestRouter, so every protocol behaviour is testable without a
-// socket.
+// Request routing for the wire protocol (service/protocol.h), the
+// stdin/stdout batch mode, and the Prometheus scrape endpoint. The socket
+// data plane is net::NetFrontEnd (net/front_end.h); it and the batch mode
+// feed identical requests through one RequestRouter, so every protocol
+// behaviour is testable without a socket.
 #ifndef LICM_SERVICE_SERVER_H_
 #define LICM_SERVICE_SERVER_H_
 
 #include <atomic>
 #include <functional>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/protocol.h"
 #include "service/query_service.h"
@@ -37,8 +35,8 @@ class RequestRouter {
       : service_(service), factory_(std::move(factory)) {}
 
   /// Replaces the query execution path. The default executor calls
-  /// QueryService::ExecuteAsync directly; the net front end injects a
-  /// coalescing wrapper (or a shard proxy) without the router knowing.
+  /// QueryService::ExecuteAsync directly; licm_serve injects a coalescing
+  /// wrapper without the router knowing.
   using AsyncExecutor =
       std::function<void(QueryRequest, QueryService::ResponseCallback)>;
 
@@ -65,8 +63,8 @@ class RequestRouter {
                    std::function<void(std::string, bool)> done);
 
   /// Builds the service-layer request for a `query` op (factory +
-  /// deadline/mc fields). Shared by the sync and async paths so both
-  /// front ends produce byte-identical responses.
+  /// deadline/mc fields). Shared by the sync and async paths so the batch
+  /// mode and the socket front end produce byte-identical responses.
   Result<QueryRequest> BuildQuery(const WireRequest& req) const;
 
   /// Renders a query outcome exactly as the sync path does.
@@ -93,47 +91,10 @@ class RequestRouter {
 /// handled.
 int64_t RunBatch(RequestRouter* router, std::istream& in, std::ostream& out);
 
-/// Thread-per-connection TCP server. Lifecycle:
-///   TcpServer server(&router);
-///   LICM_RETURN_NOT_OK(server.Listen("127.0.0.1", 0));  // 0 = ephemeral
-///   server.Serve();  // blocks until Stop() or a shutdown request
-class TcpServer {
- public:
-  explicit TcpServer(RequestRouter* router) : router_(router) {}
-  ~TcpServer();
-  TcpServer(const TcpServer&) = delete;
-  TcpServer& operator=(const TcpServer&) = delete;
-
-  /// Binds and listens. Port 0 picks an ephemeral port, readable from
-  /// port() afterwards. Returns kIOError when the sandbox forbids
-  /// binding (callers may fall back to batch mode).
-  Status Listen(const std::string& host, int port);
-
-  int port() const { return port_; }
-
-  /// Accept loop; blocks until Stop() is called (from any thread or a
-  /// connection handler via the shutdown op), then joins all connection
-  /// threads.
-  Status Serve();
-
-  void Stop();
-
- private:
-  void HandleConnection(int fd);
-
-  RequestRouter* router_;
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::mutex conn_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
-};
-
 /// Minimal HTTP/1.0 exposition endpoint for Prometheus scrapes: every
 /// request (any path) gets a 200 text/plain body from `render` and the
 /// connection is closed. One accept thread, one connection at a time —
-/// scrape traffic, not the data plane. Lifecycle mirrors TcpServer:
+/// scrape traffic, not the data plane. Lifecycle:
 ///   MetricsHttpServer http([] { return registry.RenderPrometheus(); });
 ///   LICM_RETURN_NOT_OK(http.Listen("127.0.0.1", 0));
 ///   http.Start();   // background accept loop

@@ -1,21 +1,22 @@
 // Tests of the event-driven data plane (src/net/): epoll loopback
-// sessions in both codecs (including pipelining and byte-at-a-time
-// delivery), the request coalescer's exactly-one-solve guarantee, and
-// consistent-hash ring properties. Socket tests skip when the sandbox
-// forbids binding, mirroring service_test.
+// sessions in both codecs (concurrent connections, pipelining,
+// byte-at-a-time delivery, input caps, the shutdown op) and the request
+// coalescer's exactly-one-solve guarantee. Socket tests skip when the
+// sandbox forbids binding.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include "licm/evaluator.h"
 #include "net/coalescer.h"
 #include "net/front_end.h"
-#include "net/shard_router.h"
 #include "net/wire.h"
 #include "service/json.h"
 #include "service/server.h"
@@ -74,6 +74,10 @@ class TestClient {
   bool Connect(int port) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd_ < 0) return false;
+    // A reply that never comes fails the test instead of hanging it.
+    const timeval timeout{20, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     sockaddr_in addr;
     std::memset(&addr, 0, sizeof(addr));
     addr.sin_family = AF_INET;
@@ -182,27 +186,75 @@ void WithFrontEnd(int num_loops,
 }
 
 TEST(NetFrontEnd, LineJsonSessionMatchesOfflineBounds) {
-  WithFrontEnd(1, [](const Fixture& f, int port) {
-    TestClient c;
-    ASSERT_TRUE(c.Connect(port));
-    auto pong = c.RoundTripLine("{\"op\":\"ping\",\"id\":1}");
+  WithFrontEnd(2, [](const Fixture& f, int port) {
+    TestClient c1, c2;  // round-robin puts them on different loops
+    ASSERT_TRUE(c1.Connect(port));
+    ASSERT_TRUE(c2.Connect(port));
+    auto pong = c1.RoundTripLine("{\"op\":\"ping\",\"id\":1}");
     ASSERT_TRUE(pong.ok()) << pong.status().ToString();
     EXPECT_TRUE(pong->GetBool("ok", false).value());
+    EXPECT_FALSE(pong->GetString("git_sha", "").value().empty());
 
-    auto q = c.RoundTripLine(
-        "{\"op\":\"query\",\"id\":2,\"instance\":\"case\"}");
-    ASSERT_TRUE(q.ok()) << q.status().ToString();
-    EXPECT_TRUE(q->GetBool("ok", false).value());
-    EXPECT_EQ(f.exact_min, q->GetNumber("min", -1e9).value());
-    EXPECT_EQ(f.exact_max, q->GetNumber("max", -1e9).value());
+    auto names = c2.RoundTripLine("{\"op\":\"instances\",\"id\":2}");
+    ASSERT_TRUE(names.ok()) << names.status().ToString();
+    const JsonValue* arr = names->Find("instances");
+    ASSERT_NE(nullptr, arr);
+    ASSERT_EQ(1u, arr->array.size());
+    EXPECT_EQ("case", arr->array[0].string);
+
+    // Both connections query at once; each answer must match offline.
+    ASSERT_TRUE(
+        c1.SendAll("{\"op\":\"query\",\"id\":3,\"instance\":\"case\"}\n"));
+    ASSERT_TRUE(
+        c2.SendAll("{\"op\":\"query\",\"id\":4,\"instance\":\"case\"}\n"));
+    for (auto [c, id] : {std::pair{&c1, 3}, std::pair{&c2, 4}}) {
+      auto line = c->RecvLine();
+      ASSERT_TRUE(line.ok()) << line.status().ToString();
+      auto q = ParseJson(*line);
+      ASSERT_TRUE(q.ok()) << *line;
+      EXPECT_TRUE(q->GetBool("ok", false).value());
+      EXPECT_EQ(id, q->GetInt("id", 0).value());
+      EXPECT_EQ(f.exact_min, q->GetNumber("min", -1e9).value());
+      EXPECT_EQ(f.exact_max, q->GetNumber("max", -1e9).value());
+    }
 
     // Malformed line: typed error, connection survives.
-    auto bad = c.RoundTripLine("not json");
+    auto bad = c1.RoundTripLine("not json");
     ASSERT_TRUE(bad.ok());
     EXPECT_FALSE(bad->GetBool("ok", true).value());
-    auto again = c.RoundTripLine("{\"op\":\"ping\",\"id\":3}");
+    auto again = c1.RoundTripLine("{\"op\":\"ping\",\"id\":5}");
     ASSERT_TRUE(again.ok());
     EXPECT_TRUE(again->GetBool("ok", false).value());
+
+    // Three lines in a single send(), plus a trailing fragment that must
+    // stay buffered until its newline arrives. Replies may come in any
+    // order.
+    ASSERT_TRUE(c2.SendAll(
+        "{\"op\":\"ping\",\"id\":22}\n"
+        "{\"op\":\"query\",\"id\":23,\"instance\":\"case\"}\n"
+        "{\"op\":\"ping\",\"id\":24}\n"
+        "{\"op\":\"ping\","));
+    std::set<int64_t> ids;
+    for (int i = 0; i < 3; ++i) {
+      auto line = c2.RecvLine();
+      ASSERT_TRUE(line.ok()) << line.status().ToString();
+      auto reply = ParseJson(*line);
+      ASSERT_TRUE(reply.ok()) << *line;
+      EXPECT_TRUE(reply->GetBool("ok", false).value());
+      const int64_t id = reply->GetInt("id", 0).value();
+      if (id == 23) {
+        EXPECT_EQ(f.exact_min, reply->GetNumber("min", -1e9).value());
+      }
+      ids.insert(id);
+    }
+    EXPECT_EQ((std::set<int64_t>{22, 23, 24}), ids);
+    ASSERT_TRUE(c2.SendAll("\"id\":25}\n"));
+    auto tail = c2.RecvLine();
+    ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+    auto tail_reply = ParseJson(*tail);
+    ASSERT_TRUE(tail_reply.ok()) << *tail;
+    EXPECT_TRUE(tail_reply->GetBool("ok", false).value());
+    EXPECT_EQ(25, tail_reply->GetInt("id", 0).value());
   });
 }
 
@@ -241,6 +293,7 @@ TEST(NetFrontEnd, ByteAtATimeDeliveryInBothCodecs) {
       ASSERT_TRUE(line.ok()) << line.status().ToString();
       auto q = ParseJson(*line);
       ASSERT_TRUE(q.ok());
+      EXPECT_TRUE(q->GetBool("ok", false).value());
       EXPECT_EQ(f.exact_min, q->GetNumber("min", -1e9).value());
       EXPECT_EQ(7, q->GetInt("id", 0).value());
     }
@@ -313,29 +366,58 @@ TEST(NetFrontEnd, CorruptBinaryFrameDropsOnlyThatConnection) {
   });
 }
 
+// A newline-free flood past the frame cap must not buffer without
+// limit: the line codec answers a typed error and closes that connection
+// only.
+TEST(NetFrontEnd, OverlongLineGetsTypedErrorAndDropsOnlyThatConnection) {
+  WithFrontEnd(1, [](const Fixture&, int port) {
+    TestClient flood, good;
+    ASSERT_TRUE(flood.Connect(port));
+    ASSERT_TRUE(good.Connect(port));
+    // The tail of the flood may meet a closed socket; the reply is what
+    // counts.
+    (void)flood.SendAll("{" + std::string(kMaxFramePayload + 4096, ' '));
+    auto line = flood.RecvLine();
+    ASSERT_TRUE(line.ok()) << line.status().ToString();
+    auto reply = ParseJson(*line);
+    ASSERT_TRUE(reply.ok()) << *line;
+    EXPECT_FALSE(reply->GetBool("ok", true).value());
+    EXPECT_EQ("OutOfRange", reply->GetString("status", "").value());
+    EXPECT_FALSE(flood.RecvLine().ok());  // then the server closes it
+
+    auto pong = good.RoundTripLine("{\"op\":\"ping\",\"id\":2}");
+    ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+    EXPECT_TRUE(pong->GetBool("ok", false).value());
+  });
+}
+
 TEST(NetFrontEnd, ShutdownOpStopsServeAfterAcking) {
-  QueryService svc({.num_workers = 1, .solver_threads = 1});
-  Fixture f = Fixture::Make();
-  ASSERT_TRUE(svc.AddInstance("case", f.fuzz.db).ok());
-  RequestRouter router(&svc, FixtureFactory(f));
-  NetFrontEnd fe(&router, {.num_loops = 2});
-  Status listening = fe.Listen("127.0.0.1", 0);
-  if (!listening.ok()) {
-    GTEST_SKIP() << "cannot bind a loopback socket here: "
-                 << listening.ToString();
+  for (const bool binary : {true, false}) {
+    SCOPED_TRACE(binary ? "binary" : "line-JSON");
+    QueryService svc({.num_workers = 1, .solver_threads = 1});
+    Fixture f = Fixture::Make();
+    ASSERT_TRUE(svc.AddInstance("case", f.fuzz.db).ok());
+    RequestRouter router(&svc, FixtureFactory(f));
+    NetFrontEnd fe(&router, {.num_loops = 2});
+    Status listening = fe.Listen("127.0.0.1", 0);
+    if (!listening.ok()) {
+      GTEST_SKIP() << "cannot bind a loopback socket here: "
+                   << listening.ToString();
+    }
+    std::thread serve([&] { EXPECT_TRUE(fe.Serve().ok()); });
+    {
+      TestClient c;
+      ASSERT_TRUE(c.Connect(fe.port()));
+      WireRequest bye;
+      bye.op = "shutdown";
+      bye.id = 9;
+      auto ack = binary ? c.RoundTripBinary(bye)
+                        : c.RoundTripLine("{\"op\":\"shutdown\",\"id\":9}");
+      ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+      EXPECT_TRUE(ack->GetBool("shutting_down", false).value());
+    }
+    serve.join();  // returns without an explicit Stop()
   }
-  std::thread serve([&] { EXPECT_TRUE(fe.Serve().ok()); });
-  {
-    TestClient c;
-    ASSERT_TRUE(c.Connect(fe.port()));
-    WireRequest bye;
-    bye.op = "shutdown";
-    bye.id = 9;
-    auto ack = c.RoundTripBinary(bye);
-    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
-    EXPECT_TRUE(ack->GetBool("shutting_down", false).value());
-  }
-  serve.join();  // returns without an explicit Stop()
 }
 
 // ------------------------------------------------------------- coalescer --
@@ -462,56 +544,6 @@ TEST(Coalescer, AdmissionFailureCompletesEveryWaiter) {
                       done_count.fetch_add(1);
                     });
   EXPECT_EQ(1, done_count.load());  // admission failures complete inline
-}
-
-// ------------------------------------------------------------- hash ring --
-
-TEST(HashRing, SingleShardOwnsEverything) {
-  HashRing ring(1);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(0, ring.ShardFor("key" + std::to_string(i)));
-  }
-}
-
-TEST(HashRing, AssignmentIsDeterministicAndCoversAllShards) {
-  HashRing a(4), b(4);
-  std::set<int> seen;
-  for (int i = 0; i < 400; ++i) {
-    const std::string key = "instance-" + std::to_string(i);
-    const int shard = a.ShardFor(key);
-    EXPECT_EQ(shard, b.ShardFor(key));
-    ASSERT_GE(shard, 0);
-    ASSERT_LT(shard, 4);
-    seen.insert(shard);
-  }
-  EXPECT_EQ(4u, seen.size());
-}
-
-TEST(HashRing, GrowingTheRingMovesFewKeys) {
-  // Consistent hashing's point: going 4 -> 5 shards relocates roughly
-  // 1/5 of keys, not all of them (modulo hashing would move ~4/5).
-  HashRing four(4), five(5);
-  int moved = 0;
-  const int kKeys = 2000;
-  for (int i = 0; i < kKeys; ++i) {
-    const std::string key = "instance-" + std::to_string(i);
-    if (four.ShardFor(key) != five.ShardFor(key)) ++moved;
-  }
-  EXPECT_LT(moved, kKeys / 2);
-  EXPECT_GT(moved, 0);
-}
-
-TEST(HashRing, LoadIsRoughlyBalanced) {
-  HashRing ring(4, 64);
-  std::map<int, int> counts;
-  const int kKeys = 4000;
-  for (int i = 0; i < kKeys; ++i) {
-    ++counts[ring.ShardFor("key-" + std::to_string(i))];
-  }
-  for (const auto& [shard, count] : counts) {
-    EXPECT_GT(count, kKeys / 16) << "shard " << shard << " starved";
-    EXPECT_LT(count, kKeys / 2) << "shard " << shard << " overloaded";
-  }
 }
 
 }  // namespace

@@ -1,16 +1,8 @@
 // Tests of the query service layer (src/service/): the JSON parser, the
-// wire protocol, admission control, degraded responses, the batch
-// transport, and a loopback TCP session (skipped when the sandbox
-// forbids binding).
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+// wire protocol, admission control, degraded responses and the batch
+// transport. Socket sessions are in net_loop_test.
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -769,173 +761,6 @@ TEST(Transport, MutateVersionAndLoadVerbs) {
   ASSERT_NE(nullptr, versions);
   EXPECT_EQ(4, versions->GetInt("case", 0).value());
   EXPECT_GE(replies[9].GetInt("cache_cross_version_hits", -1).value(), 1);
-}
-
-// Minimal blocking line client for the loopback test.
-class TestClient {
- public:
-  bool Connect(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    return ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr)) == 0;
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool SendRaw(const std::string& bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t w = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      if (w < 0 && errno == EINTR) continue;
-      if (w <= 0) return false;
-      sent += static_cast<size_t>(w);
-    }
-    return true;
-  }
-  Result<JsonValue> RecvReply() {
-    while (buffer_.find('\n') == std::string::npos) {
-      char chunk[1024];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return Status::IOError("connection closed");
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-    const size_t nl = buffer_.find('\n');
-    std::string reply = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    return ParseJson(reply);
-  }
-  Result<JsonValue> RoundTrip(const std::string& line) {
-    std::string framed = line + "\n";
-    if (::send(fd_, framed.data(), framed.size(), MSG_NOSIGNAL) !=
-        static_cast<ssize_t>(framed.size())) {
-      return Status::IOError("send failed");
-    }
-    while (buffer_.find('\n') == std::string::npos) {
-      char chunk[1024];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return Status::IOError("connection closed");
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-    const size_t nl = buffer_.find('\n');
-    std::string reply = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    return ParseJson(reply);
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-TEST(Transport, TcpLoopbackSessionIncludingShutdown) {
-  QueryService svc({.num_workers = 2, .solver_threads = 1});
-  ServiceFixture f = ServiceFixture::Make();
-  ASSERT_TRUE(svc.AddInstance("case", f.fuzz.db).ok());
-  RequestRouter router(&svc, FixtureFactory(f));
-  TcpServer server(&router);
-  Status listening = server.Listen("127.0.0.1", 0);
-  if (!listening.ok()) {
-    GTEST_SKIP() << "cannot bind a loopback socket here: "
-                 << listening.ToString();
-  }
-  ASSERT_GT(server.port(), 0);
-  std::thread serve_thread([&] { EXPECT_TRUE(server.Serve().ok()); });
-
-  {
-    TestClient c1, c2;
-    ASSERT_TRUE(c1.Connect(server.port()));
-    ASSERT_TRUE(c2.Connect(server.port()));
-
-    auto pong = c1.RoundTrip("{\"op\":\"ping\",\"id\":1}");
-    ASSERT_TRUE(pong.ok()) << pong.status().ToString();
-    EXPECT_TRUE(pong->GetBool("ok", false).value());
-    EXPECT_FALSE(pong->GetString("git_sha", "").value().empty());
-
-    auto names = c2.RoundTrip("{\"op\":\"instances\",\"id\":2}");
-    ASSERT_TRUE(names.ok());
-    const JsonValue* arr = names->Find("instances");
-    ASSERT_NE(nullptr, arr);
-    ASSERT_EQ(1u, arr->array.size());
-    EXPECT_EQ("case", arr->array[0].string);
-
-    // Both connections query concurrently; answers must match offline.
-    auto q1 = c1.RoundTrip(
-        "{\"op\":\"query\",\"id\":3,\"instance\":\"case\"}");
-    auto q2 = c2.RoundTrip(
-        "{\"op\":\"query\",\"id\":4,\"instance\":\"case\"}");
-    for (const auto* q : {&q1, &q2}) {
-      ASSERT_TRUE(q->ok()) << q->status().ToString();
-      EXPECT_TRUE((*q)->GetBool("ok", false).value());
-      EXPECT_EQ(f.exact_min, (*q)->GetNumber("min", -1e9).value());
-      EXPECT_EQ(f.exact_max, (*q)->GetNumber("max", -1e9).value());
-    }
-
-    auto bye = c1.RoundTrip("{\"op\":\"shutdown\",\"id\":5}");
-    ASSERT_TRUE(bye.ok());
-    EXPECT_TRUE(bye->GetBool("shutting_down", false).value());
-  }
-  serve_thread.join();
-}
-
-// Regression test for short-read handling: the kernel may deliver a
-// request line in arbitrarily small pieces, and several lines may land
-// in one recv(). Both packetizations must behave exactly like whole-line
-// delivery.
-TEST(Transport, TcpSurvivesByteAtATimeAndPipelinedDelivery) {
-  QueryService svc({.num_workers = 1, .solver_threads = 1});
-  ServiceFixture f = ServiceFixture::Make();
-  ASSERT_TRUE(svc.AddInstance("case", f.fuzz.db).ok());
-  RequestRouter router(&svc, FixtureFactory(f));
-  TcpServer server(&router);
-  Status listening = server.Listen("127.0.0.1", 0);
-  if (!listening.ok()) {
-    GTEST_SKIP() << "cannot bind a loopback socket here: "
-                 << listening.ToString();
-  }
-  std::thread serve_thread([&] { EXPECT_TRUE(server.Serve().ok()); });
-  {
-    TestClient c;
-    ASSERT_TRUE(c.Connect(server.port()));
-
-    // One byte per send() call.
-    const std::string line =
-        "{\"op\":\"query\",\"id\":21,\"instance\":\"case\"}\n";
-    for (char ch : line) {
-      ASSERT_TRUE(c.SendRaw(std::string(1, ch)));
-    }
-    auto dribbled = c.RecvReply();
-    ASSERT_TRUE(dribbled.ok()) << dribbled.status().ToString();
-    EXPECT_TRUE(dribbled->GetBool("ok", false).value());
-    EXPECT_EQ(21, dribbled->GetInt("id", 0).value());
-    EXPECT_EQ(f.exact_min, dribbled->GetNumber("min", -1e9).value());
-
-    // Three requests in a single send(), plus a trailing fragment that
-    // must stay buffered until its newline arrives.
-    ASSERT_TRUE(c.SendRaw(
-        "{\"op\":\"ping\",\"id\":22}\n"
-        "{\"op\":\"query\",\"id\":23,\"instance\":\"case\"}\n"
-        "{\"op\":\"ping\",\"id\":24}\n"
-        "{\"op\":\"ping\","));
-    for (int id = 22; id <= 24; ++id) {
-      auto reply = c.RecvReply();
-      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-      EXPECT_TRUE(reply->GetBool("ok", false).value());
-      EXPECT_EQ(id, reply->GetInt("id", 0).value());
-    }
-    ASSERT_TRUE(c.SendRaw("\"id\":25}\n"));
-    auto tail = c.RecvReply();
-    ASSERT_TRUE(tail.ok()) << tail.status().ToString();
-    EXPECT_EQ(25, tail->GetInt("id", 0).value());
-  }
-  server.Stop();
-  serve_thread.join();
 }
 
 }  // namespace

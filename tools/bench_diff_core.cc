@@ -29,9 +29,8 @@ const std::unordered_set<std::string>& IdentitySet() {
       "bench", "scheme", "engine", "variant", "query", "qnum", "qnums",
       "cache", "k", "num_transactions", "txns", "items", "fanout",
       "requested_threads", "connections", "requests",
-      "requests_per_connection", "burst", "mode",
-      "frontend", "codec", "shards", "max_outstanding", "offered_rps",
-      "duration_s",
+      "requests_per_connection", "burst", "mode", "codec",
+      "max_outstanding", "offered_rps", "duration_s",
   };
   return kSet;
 }

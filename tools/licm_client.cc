@@ -4,7 +4,6 @@
 //               [--binary] [--rate R --duration-s T [--max-outstanding W]]
 //               [--instance SPEC]... [--qnums 1,2,3] [--deadline-ms D]
 //               [--degraded-every K] [--burst B] [--verify]
-//               [--frontend LABEL] [--shards-label N]
 //               [--json BENCH_service.json] [--json-append]
 //               [--shutdown] [--version]
 //   licm_client --port P --raw LINE [--raw LINE]...
@@ -15,7 +14,7 @@
 // ok:false). No load phase, no JSON report.
 //
 // --binary speaks the length-prefixed binary protocol of net/wire.h
-// instead of line-JSON (the epoll server auto-detects per connection).
+// instead of line-JSON (the server auto-detects per connection).
 //
 // Closed loop (default): C concurrent connections each issue N query
 // requests round-robin over the instance x qnum mix, measuring
@@ -30,7 +29,7 @@
 // expected there and are not protocol errors. A final `stats` request
 // snapshots the server counters. Throughput and p50/p95/p99 latency go
 // to --json in the standard BENCH format (--json-append accumulates rows
-// across runs; --frontend/--shards-label tag the row's identity columns
+// across runs; the codec and load shape form the row's identity columns,
 // so bench_diff compares like with like).
 //
 // --verify rebuilds every instance from the same specs the server got
@@ -296,7 +295,6 @@ int Usage(const char* argv0) {
       "          [--binary] [--rate R --duration-s T [--max-outstanding W]]\n"
       "          [--instance SPEC]... [--qnums 1,2] [--deadline-ms D]\n"
       "          [--degraded-every K] [--burst B] [--verify]\n"
-      "          [--frontend LABEL] [--shards-label N]\n"
       "          [--json FILE] [--json-append] [--shutdown] [--version]\n"
       "       %s --port P --raw LINE [--raw LINE]...\n",
       argv0, argv0);
@@ -323,8 +321,6 @@ int main(int argc, char** argv) {
   bool send_shutdown = false;
   std::string json_path = "BENCH_service.json";
   bool json_append = false;
-  std::string frontend = "unspecified";
-  int shards_label = 1;
   std::vector<std::string> raw_lines;
 
   for (int i = 1; i < argc; ++i) {
@@ -393,14 +389,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return Usage(argv[0]);
       burst = std::atoi(v);
-    } else if (arg == "--frontend") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      frontend = v;
-    } else if (arg == "--shards-label") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      shards_label = std::atoi(v);
     } else if (arg == "--json") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
@@ -767,10 +755,8 @@ int main(int argc, char** argv) {
 
   bench::JsonRecord rec;
   rec.AddString("bench", "service")
-      .AddString("frontend", frontend)
       .AddString("codec", binary ? "binary" : "json")
       .AddString("mode", rate > 0 ? "open" : "closed")
-      .AddInt("shards", shards_label)
       .AddInt("connections", connections)
       .AddInt("requests_per_connection", rate > 0 ? 0 : requests)
       .AddInt("burst", burst)

@@ -1,7 +1,7 @@
 // Query service front-end (DESIGN.md §10, §14).
 //
-//   licm_serve [--port P] [--host H] [--stdin] [--threaded]
-//              [--loops N] [--shards N] [--no-coalesce]
+//   licm_serve [--port P] [--host H] [--stdin]
+//              [--loops N] [--no-coalesce]
 //              [--instance name=scheme:k[:txns[:items[:seed]]]]...
 //              [--workers N] [--queue N] [--deadline-ms D]
 //              [--mc-worlds W] [--solver-threads T] [--slo-ms D]
@@ -13,32 +13,19 @@
 // <port>` before the accept loop starts) or over stdin/stdout
 // (--stdin). A client `shutdown` request stops either mode.
 //
-// Data planes (DESIGN.md §14):
-//   default      epoll front end (--loops event loops), speaking both
-//                the binary framing and line-JSON — the codec is
-//                auto-detected per connection from the first byte.
-//                Identical concurrent queries are coalesced into one
-//                solve unless --no-coalesce.
-//   --threaded   the legacy thread-per-connection line-JSON server
-//                (the PR-5 baseline; kept for comparison benches).
-//   --shards=N   forks N worker processes before any service thread
-//                exists; the parent routes requests to shards by
-//                consistent hash of the instance name over unix-socket
-//                backplanes. Each shard builds the full instance set,
-//                owns its caches, and coalesces locally.
+// The TCP data plane is the epoll front end (DESIGN.md §14): --loops
+// event loops in this process, speaking both the binary framing and
+// line-JSON — the codec is auto-detected per connection from the first
+// byte. Identical concurrent queries are coalesced into one solve
+// unless --no-coalesce.
 //
 // Observability: --metrics-port serves the Prometheus text exposition of
 // the process metrics registry over HTTP (0 = ephemeral; printed as
 // `METRICS <port>`); --metrics-file writes the same exposition to a file
 // at shutdown for scraping-free environments; --slo-ms sets the slow-
 // query capture threshold served by the `slowlog` verb.
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -51,7 +38,6 @@
 #include "common/version.h"
 #include "net/coalescer.h"
 #include "net/front_end.h"
-#include "net/proxy.h"
 #include "service/server.h"
 #include "service_workload.h"
 
@@ -61,8 +47,8 @@ using namespace licm;
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port P] [--host H] [--stdin] [--threaded]\n"
-               "          [--loops N] [--shards N] [--no-coalesce]\n"
+               "usage: %s [--port P] [--host H] [--stdin]\n"
+               "          [--loops N] [--no-coalesce]\n"
                "          [--instance name=scheme:k[:txns[:items[:seed]]]]...\n"
                "          [--workers N] [--queue N] [--deadline-ms D]\n"
                "          [--mc-worlds W] [--solver-threads T] [--slo-ms D]\n"
@@ -72,11 +58,8 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-/// One process' worth of service state: the QueryService, the spec map
-/// backing the query factory and the `load` verb, and the router wiring
-/// them together. Built *after* fork in shard children — QueryService
-/// spawns worker threads in its constructor, and threads do not survive
-/// fork().
+/// The service state: the QueryService, the spec map backing the query
+/// factory and the `load` verb, and the router wiring them together.
 struct ServerState {
   explicit ServerState(const service::ServiceConfig& config)
       : svc(config),
@@ -113,8 +96,7 @@ struct ServerState {
     });
   }
 
-  Status AddInstances(const std::vector<std::string>& instance_args,
-                      bool announce) {
+  Status AddInstances(const std::vector<std::string>& instance_args) {
     for (const std::string& text : instance_args) {
       LICM_ASSIGN_OR_RETURN(tools::InstanceSpec spec,
                             tools::ParseInstanceSpec(text));
@@ -122,10 +104,8 @@ struct ServerState {
       LICM_RETURN_NOT_OK(svc.AddInstance(spec.name, std::move(enc.db),
                                          std::move(enc.structure)));
       specs.emplace(spec.name, spec);
-      if (announce) {
-        std::fprintf(stderr, "instance %s ready (%s)\n", spec.name.c_str(),
-                     text.c_str());
-      }
+      std::fprintf(stderr, "instance %s ready (%s)\n", spec.name.c_str(),
+                   text.c_str());
     }
     return Status::OK();
   }
@@ -144,10 +124,8 @@ int main(int argc, char** argv) {
   int metrics_port = -1;  // -1 = no HTTP exposition endpoint
   std::string metrics_file;
   bool use_stdin = false;
-  bool threaded = false;
   bool coalesce = true;
   int num_loops = 2;
-  int shards = 1;
   std::vector<std::string> instance_args;
   service::ServiceConfig config;
 
@@ -161,18 +139,12 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--stdin") {
       use_stdin = true;
-    } else if (arg == "--threaded") {
-      threaded = true;
     } else if (arg == "--no-coalesce") {
       coalesce = false;
     } else if (arg == "--loops") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
       num_loops = std::atoi(v);
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      shards = std::atoi(v);
     } else if (arg == "--host") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
@@ -223,64 +195,6 @@ int main(int argc, char** argv) {
   }
   if (instance_args.empty()) instance_args.push_back("demo=kanon:4");
   if (num_loops < 1) num_loops = 1;
-  if (shards < 1) shards = 1;
-  if (shards > 1 && (threaded || use_stdin)) {
-    std::fprintf(stderr, "--shards is incompatible with --threaded/--stdin\n");
-    return 2;
-  }
-
-  // ------------------------------------------------------------------
-  // Sharded topology: fork the workers before any thread exists.
-  // ------------------------------------------------------------------
-  std::vector<int> backplane_fds;
-  std::vector<pid_t> children;
-  if (shards > 1) {
-    for (int s = 0; s < shards; ++s) {
-      int sv[2];
-      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-        std::fprintf(stderr, "socketpair: %s\n", std::strerror(errno));
-        return 1;
-      }
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        std::fprintf(stderr, "fork: %s\n", std::strerror(errno));
-        return 1;
-      }
-      if (pid == 0) {
-        // Child: keep only our backplane end, build the full service,
-        // and speak binary frames with the parent until shutdown/EOF.
-        ::close(sv[0]);
-        for (int fd : backplane_fds) ::close(fd);
-        ServerState state(config);
-        Status built = state.AddInstances(instance_args, /*announce=*/s == 0);
-        if (!built.ok()) {
-          std::fprintf(stderr, "shard %d: %s\n", s,
-                       built.ToString().c_str());
-          return 1;
-        }
-        std::optional<net::RequestCoalescer> shard_coalescer;
-        if (coalesce) {
-          shard_coalescer.emplace(&state.svc);
-          state.router.set_async_executor(
-              [&c = *shard_coalescer](
-                  service::QueryRequest request,
-                  service::QueryService::ResponseCallback done) {
-                c.Execute(std::move(request), std::move(done));
-              });
-        }
-        Status ran = net::RunShardWorker(sv[1], &state.router);
-        ::close(sv[1]);
-        if (!ran.ok()) {
-          std::fprintf(stderr, "shard %d: %s\n", s, ran.ToString().c_str());
-          return 1;
-        }
-        return 0;
-      }
-      ::close(sv[1]);
-      backplane_fds.push_back(sv[0]);
-      children.push_back(pid);
-    }
-  }
 
   auto render_metrics = [] {
     return metrics::MetricsRegistry::Default().RenderPrometheus();
@@ -313,43 +227,8 @@ int main(int argc, char** argv) {
     std::fclose(f);
   };
 
-  if (shards > 1) {
-    net::ShardProxy proxy(backplane_fds);
-    proxy.Start();
-    net::NetFrontEnd::Options opts;
-    opts.num_loops = num_loops;
-    net::NetFrontEnd front(nullptr, opts);
-    front.set_dispatch([&proxy](const service::WireRequest& req,
-                                std::function<void(std::string, bool)> done) {
-      proxy.Forward(req, std::move(done));
-    });
-    Status listening = front.Listen(host, port);
-    if (!listening.ok()) {
-      std::fprintf(stderr, "listen failed: %s\n",
-                   listening.ToString().c_str());
-      return 1;
-    }
-    std::printf("LISTENING %d\n", front.port());
-    std::fflush(stdout);
-    Status served = front.Serve();
-    for (pid_t pid : children) {
-      int wstatus = 0;
-      (void)::waitpid(pid, &wstatus, 0);
-    }
-    if (metrics_http.has_value()) metrics_http->Stop();
-    dump_metrics_file();
-    if (!served.ok()) {
-      std::fprintf(stderr, "serve failed: %s\n", served.ToString().c_str());
-      return 1;
-    }
-    return 0;
-  }
-
-  // ------------------------------------------------------------------
-  // Single-process topologies.
-  // ------------------------------------------------------------------
   ServerState state(config);
-  Status built = state.AddInstances(instance_args, /*announce=*/true);
+  Status built = state.AddInstances(instance_args);
   if (!built.ok()) {
     std::fprintf(stderr, "%s\n", built.ToString().c_str());
     return 1;
@@ -374,32 +253,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  Status served;
-  if (threaded) {
-    service::TcpServer server(&state.router);
-    Status listening = server.Listen(host, port);
-    if (!listening.ok()) {
-      std::fprintf(stderr, "listen failed: %s\n",
-                   listening.ToString().c_str());
-      return 1;
-    }
-    std::printf("LISTENING %d\n", server.port());
-    std::fflush(stdout);
-    served = server.Serve();
-  } else {
-    net::NetFrontEnd::Options opts;
-    opts.num_loops = num_loops;
-    net::NetFrontEnd front(&state.router, opts);
-    Status listening = front.Listen(host, port);
-    if (!listening.ok()) {
-      std::fprintf(stderr, "listen failed: %s\n",
-                   listening.ToString().c_str());
-      return 1;
-    }
-    std::printf("LISTENING %d\n", front.port());
-    std::fflush(stdout);
-    served = front.Serve();
+  net::NetFrontEnd::Options opts;
+  opts.num_loops = num_loops;
+  net::NetFrontEnd front(&state.router, opts);
+  Status listening = front.Listen(host, port);
+  if (!listening.ok()) {
+    std::fprintf(stderr, "listen failed: %s\n", listening.ToString().c_str());
+    return 1;
   }
+  std::printf("LISTENING %d\n", front.port());
+  std::fflush(stdout);
+  Status served = front.Serve();
   if (metrics_http.has_value()) metrics_http->Stop();
   dump_metrics_file();
   if (!served.ok()) {
