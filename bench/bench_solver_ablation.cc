@@ -164,7 +164,6 @@ int main(int argc, char** argv) {
         .AddInt("warm_lp_solves", st.warm_lp_solves)
         .AddInt("rc_fixed_vars", st.rc_fixed_vars)
         .AddInt("cuts_generated", st.cuts_generated)
-        .AddInt("cuts_reused", st.cuts_reused)
         .AddInt("strong_branch_solves", st.strong_branch_solves);
     records.push_back(std::move(rec));
   }

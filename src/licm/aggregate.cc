@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -49,113 +48,6 @@ Result<Objective> SumObjective(const LicmRelation& relation,
   return obj;
 }
 
-namespace {
-
-solver::RowOp ToRowOp(ConstraintOp op) {
-  switch (op) {
-    case ConstraintOp::kLe: return solver::RowOp::kLe;
-    case ConstraintOp::kGe: return solver::RowOp::kGe;
-    case ConstraintOp::kEq: return solver::RowOp::kEq;
-  }
-  return solver::RowOp::kEq;
-}
-
-// Feasibility of the constraints pruning dropped. The dropped rows share no
-// variable with the live set (any shared variable would have made them
-// live), so their satisfiability is independent of the kept LP — and
-// pruning's soundness caveat (prune.h) is exactly that this remainder
-// admits a world. One zero-objective solve settles it.
-//
-// Returns Infeasible when no world satisfies the remainder, OK otherwise;
-// `*exact` is cleared when the probe hit a limit and the answer is unknown.
-Status CheckPrunedRemainder(const ConstraintSet& constraints,
-                            const PruneResult& pruned,
-                            const solver::MipOptions& mip, bool* exact) {
-  std::vector<const LinearConstraint*> dropped;
-  for (const LinearConstraint& c : constraints.constraints()) {
-    bool live = false;
-    for (const auto& t : c.terms) live |= pruned.live.count(t.var) > 0;
-    if (live) continue;
-    if (c.terms.empty()) {  // constant row: evaluate 0 op rhs directly
-      const bool ok = c.op == ConstraintOp::kLe   ? 0 <= c.rhs
-                      : c.op == ConstraintOp::kGe ? 0 >= c.rhs
-                                                  : c.rhs == 0;
-      if (!ok) {
-        return Status::Infeasible(
-            "LICM constraint set admits no possible world");
-      }
-      continue;
-    }
-    dropped.push_back(&c);
-  }
-  if (dropped.empty()) return Status::OK();
-
-  solver::LinearProgram lp;
-  // Dense BVar -> VarId map: ids are contiguous and small, and the hash
-  // lookups of a map dominate construction time on large remainders.
-  constexpr solver::VarId kUnmapped =
-      std::numeric_limits<solver::VarId>::max();
-  std::vector<solver::VarId> to_lp;
-  for (const LinearConstraint* c : dropped) {
-    solver::Row row;
-    row.terms.reserve(c->terms.size());
-    for (const auto& t : c->terms) {
-      if (t.var >= to_lp.size()) to_lp.resize(t.var + 1, kUnmapped);
-      if (to_lp[t.var] == kUnmapped) to_lp[t.var] = lp.AddBinary();
-      row.terms.push_back({to_lp[t.var], static_cast<double>(t.coef)});
-    }
-    row.op = ToRowOp(c->op);
-    row.rhs = static_cast<double>(c->rhs);
-    lp.AddRow(std::move(row));
-  }
-  // Witness fast path: LICM remainders are overwhelmingly disjoint
-  // cardinality blocks ("between lo and hi of this group set"), where
-  // raising the minimum number of variables per >=/== row yields a
-  // possible world. Build that assignment greedily, then verify it against
-  // EVERY row exactly — all quantities are small integers, so the checks
-  // are exact and a verified witness proves feasibility outright, skipping
-  // the solver (whose canonicalization pass dominates this probe on
-  // monolithic-component workloads). Verification failure falls through to
-  // the exact zero-objective solve, so the heuristic cannot affect
-  // soundness in either direction.
-  std::vector<uint8_t> x(lp.num_vars(), 0);
-  for (const solver::Row& row : lp.rows()) {
-    if (row.op == solver::RowOp::kLe) continue;
-    double act = 0.0;
-    for (const auto& t : row.terms) act += t.coef * x[t.var];
-    for (const auto& t : row.terms) {
-      if (act >= row.rhs) break;
-      if (t.coef > 0 && x[t.var] == 0) {
-        x[t.var] = 1;
-        act += t.coef;
-      }
-    }
-  }
-  bool witness_ok = true;
-  for (const solver::Row& row : lp.rows()) {
-    double act = 0.0;
-    for (const auto& t : row.terms) act += t.coef * x[t.var];
-    const bool sat = row.op == solver::RowOp::kLe   ? act <= row.rhs
-                     : row.op == solver::RowOp::kGe ? act >= row.rhs
-                                                    : act == row.rhs;
-    if (!sat) {
-      witness_ok = false;
-      break;
-    }
-  }
-  if (witness_ok) return Status::OK();
-
-  const solver::MipResult r =
-      solver::MipSolver(mip).Solve(lp, solver::Sense::kMaximize);
-  if (r.status == solver::SolveStatus::kInfeasible) {
-    return Status::Infeasible("LICM constraint set admits no possible world");
-  }
-  if (r.status != solver::SolveStatus::kOptimal) *exact = false;
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<AggregateBounds> ComputeBounds(const Objective& objective,
                                       const ConstraintSet& constraints,
                                       uint32_t num_vars,
@@ -166,48 +58,39 @@ Result<AggregateBounds> ComputeBounds(const Objective& objective,
   seeds.reserve(objective.coefs.size());
   for (const auto& [v, c] : objective.coefs) seeds.push_back(v);
 
-  PruneResult pruned;
+  const PruneResult pruned = options.prune ? Prune(constraints, seeds, num_vars)
+                                            : KeepAll(constraints, num_vars);
   bool remainder_exact = true;
-  if (options.prune) {
-    pruned = Prune(constraints, seeds, num_vars);
-    if (pruned.kept.size() < constraints.size()) {
-      LICM_RETURN_NOT_OK(CheckPrunedRemainder(constraints, pruned,
-                                              options.mip, &remainder_exact));
+  if (pruned.rows.size() < constraints.size()) {
+    // The dropped rows share no variable with the live set (a shared
+    // variable would have put them in a seeded component), so their
+    // feasibility is independent of the kept program — and pruning is
+    // sound exactly when this remainder admits a world.
+    std::vector<uint32_t> dropped;
+    dropped.reserve(constraints.size() - pruned.rows.size());
+    size_t next = 0;
+    for (uint32_t k = 0; k < constraints.size(); ++k) {
+      if (next < pruned.rows.size() && pruned.rows[next] == k) {
+        ++next;
+      } else {
+        dropped.push_back(k);
+      }
     }
-  } else {
-    // Identity "prune": everything stays live.
-    pruned.kept = constraints.constraints();
-    for (BVar v = 0; v < num_vars; ++v) pruned.live.insert(v);
-    pruned.stats = {num_vars, num_vars, constraints.size(),
-                    constraints.size()};
+    switch (CheckFeasible(constraints, dropped, {}, options.mip)) {
+      case Feasibility::kInfeasible:
+        return Status::Infeasible(
+            "LICM constraint set admits no possible world");
+      case Feasibility::kUnknown:
+        remainder_exact = false;
+        break;
+      case Feasibility::kFeasible:
+        break;
+    }
   }
 
-  // Build the BIP over live variables. BVar -> VarId uses a dense vector:
-  // ids are contiguous, and at Query-3 scale (hundreds of thousands of
-  // terms) map hashing dominates construction otherwise.
-  solver::LinearProgram lp;
-  constexpr solver::VarId kUnmapped =
-      std::numeric_limits<solver::VarId>::max();
-  std::vector<solver::VarId> to_lp(num_vars, kUnmapped);
-  // Deterministic order: sort live variables.
-  std::vector<BVar> live_sorted(pruned.live.begin(), pruned.live.end());
-  std::sort(live_sorted.begin(), live_sorted.end());
-  for (BVar v : live_sorted) to_lp[v] = lp.AddBinary();
-  for (const LinearConstraint& c : pruned.kept) {
-    solver::Row row;
-    row.terms.reserve(c.terms.size());
-    for (const auto& t : c.terms) {
-      row.terms.push_back(
-          {to_lp[t.var], static_cast<double>(t.coef)});
-    }
-    row.op = ToRowOp(c.op);
-    row.rhs = static_cast<double>(c.rhs);
-    lp.AddRow(std::move(row));
-  }
-  for (const auto& [v, coef] : objective.coefs) {
-    lp.SetObjectiveCoef(to_lp[v], coef);
-  }
-  lp.AddObjectiveConstant(objective.constant);
+  // The BIP over the live variables, in ascending BVar order.
+  const solver::LinearProgram lp =
+      BuildProgram(constraints, pruned.rows, pruned.live, {}, &objective);
 
   bip_span.AddArg("vars", static_cast<double>(lp.num_vars()));
   bip_span.AddArg("rows", static_cast<double>(lp.num_rows()));
@@ -244,10 +127,10 @@ Result<AggregateBounds> ComputeBounds(const Objective& objective,
     side->value = side_result.has_solution ? side_result.objective
                                            : side_result.best_bound;
     if (side_result.has_solution) {
-      for (BVar v : live_sorted) {
-        side->world.emplace(
-            v, static_cast<uint8_t>(
-                   std::lround(side_result.solution[to_lp.at(v)])));
+      for (size_t i = 0; i < pruned.live.size(); ++i) {
+        side->world.emplace(pruned.live[i],
+                            static_cast<uint8_t>(
+                                std::lround(side_result.solution[i])));
       }
     }
     return Status::OK();
@@ -266,14 +149,11 @@ Result<AggregateBounds> ComputeBounds(const Objective& objective,
 
 namespace {
 
-// Feasibility of `constraints` + `extras`: kFixpoint-style tri-state.
-enum class Feas { kYes, kNo, kUnknown };
-
 // Shared machinery for the MIN/MAX case analysis: a sequence of
 // feasibility probes against the same base constraint set, each with a
-// couple of extra rows. The constraint graph is decomposed into connected
-// components once; every probe then solves only the components its extra
-// rows touch (the transitive region Prune() would have kept), instead of
+// couple of extra rows. The constraint graph is labeled into connected
+// components once (LabelComponents, the labeling Prune() uses); every
+// probe then checks only the components its extra rows touch, instead of
 // re-copying and re-pruning the whole constraint set per distinct value.
 // All probes share one solve cache, so a probe whose touched region is
 // isomorphic to an earlier one (the common case across values under group
@@ -282,7 +162,10 @@ class FeasibilityProber {
  public:
   FeasibilityProber(const ConstraintSet& constraints, uint32_t num_vars,
                     const BoundsOptions& options)
-      : constraints_(constraints), num_vars_(num_vars), options_(options) {
+      : constraints_(constraints),
+        options_(options),
+        all_rows_(KeepAll(constraints, /*num_vars=*/0).rows),
+        components_(LabelComponents(constraints, num_vars)) {
     mip_ = options.mip;
     if (mip_.use_cache && mip_.cache == nullptr) mip_.cache = &cache_;
     // Share one thread pool and one wall-clock budget across the whole
@@ -298,141 +181,80 @@ class FeasibilityProber {
       scheduler_.emplace(mip_.num_threads);
       mip_.scheduler = &*scheduler_;
     }
-
-    // Connected components of the constraint graph (vars connected when
-    // they share a constraint), computed once for the probe sequence.
-    parent_.resize(num_vars);
-    for (BVar v = 0; v < num_vars; ++v) parent_[v] = v;
     const auto& rows = constraints_.constraints();
-    for (const LinearConstraint& c : rows) {
-      for (size_t i = 1; i < c.terms.size(); ++i) {
-        Union(c.terms[0].var, c.terms[i].var);
-      }
-    }
-    for (size_t k = 0; k < rows.size(); ++k) {
+    for (uint32_t k = 0; k < rows.size(); ++k) {
       if (rows[k].terms.empty()) continue;
-      rows_of_root_[Find(rows[k].terms[0].var)].push_back(k);
+      rows_of_root_[components_.Find(rows[k].terms[0].var)].push_back(k);
     }
   }
 
   /// Feasibility of the base constraint set alone (every component, no
   /// pruning) — the global "does any world exist" check. Solved once and
   /// memoized.
-  Feas CheckBase() {
+  Feasibility CheckBase() {
     if (!base_checked_) {
-      std::vector<size_t> all(constraints_.constraints().size());
-      for (size_t k = 0; k < all.size(); ++k) all[k] = k;
-      base_result_ = SolveFeasibility(all, {});
+      base_result_ = Probe(all_rows_, {});
       base_checked_ = true;
     }
     return base_result_;
   }
 
-  /// Feasibility of base + `extras`. With pruning enabled this solves only
+  /// Feasibility of base + `extras`. With pruning enabled this checks only
   /// the components touched by the extras (exactly the region reachable
   /// from the extras' variables, matching the paper's pruning semantics);
   /// otherwise the full system is included.
-  Feas Check(const std::vector<LinearConstraint>& extras) {
-    std::vector<size_t> indices;
-    if (!options_.prune) {
-      indices.resize(constraints_.constraints().size());
-      for (size_t k = 0; k < indices.size(); ++k) indices[k] = k;
-    } else {
-      std::vector<BVar> roots;
-      for (const LinearConstraint& c : extras) {
-        for (const auto& t : c.terms) roots.push_back(Find(t.var));
-      }
-      std::sort(roots.begin(), roots.end());
-      roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-      for (BVar root : roots) {
-        auto it = rows_of_root_.find(root);
-        if (it == rows_of_root_.end()) continue;
-        indices.insert(indices.end(), it->second.begin(), it->second.end());
-      }
-      std::sort(indices.begin(), indices.end());
+  Feasibility Check(const std::vector<LinearConstraint>& extras) {
+    if (!options_.prune) return Probe(all_rows_, extras);
+    std::vector<BVar> roots;
+    for (const LinearConstraint& c : extras) {
+      for (const auto& t : c.terms) roots.push_back(components_.Find(t.var));
     }
-    return SolveFeasibility(indices, extras);
+    std::sort(roots.begin(), roots.end());
+    roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+    std::vector<uint32_t> rows;
+    for (BVar root : roots) {
+      auto it = rows_of_root_.find(root);
+      if (it == rows_of_root_.end()) continue;
+      rows.insert(rows.end(), it->second.begin(), it->second.end());
+    }
+    std::sort(rows.begin(), rows.end());
+    return Probe(rows, extras);
   }
 
   const solver::MipStats& stats() const { return stats_; }
 
  private:
-  BVar Find(BVar x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(BVar a, BVar b) {
-    a = Find(a);
-    b = Find(b);
-    if (a != b) parent_[a] = b;
-  }
-
-  Feas SolveFeasibility(const std::vector<size_t>& indices,
-                        const std::vector<LinearConstraint>& extras) {
+  Feasibility Probe(const std::vector<uint32_t>& rows,
+                    const std::vector<LinearConstraint>& extras) {
     telemetry::ScopedSpan span("licm", "feasibility_probe");
     span.AddArg("probe", static_cast<double>(++probe_count_));
     span.AddArg("extra_rows", static_cast<double>(extras.size()));
-    // Variables of the selected region; vars outside any constraint are
-    // free and cannot affect feasibility.
-    std::vector<BVar> vars;
-    const auto& rows = constraints_.constraints();
-    for (size_t k : indices) {
-      for (const auto& t : rows[k].terms) vars.push_back(t.var);
-    }
-    for (const LinearConstraint& c : extras) {
-      for (const auto& t : c.terms) vars.push_back(t.var);
-    }
-    std::sort(vars.begin(), vars.end());
-    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-
-    solver::LinearProgram lp;
-    std::unordered_map<BVar, solver::VarId> to_lp;
-    to_lp.reserve(vars.size());
-    for (BVar v : vars) to_lp.emplace(v, lp.AddBinary());
-    auto add_row = [&](const LinearConstraint& c) {
-      solver::Row row;
-      row.terms.reserve(c.terms.size());
-      for (const auto& t : c.terms) {
-        row.terms.push_back({to_lp.at(t.var), static_cast<double>(t.coef)});
-      }
-      row.op = ToRowOp(c.op);
-      row.rhs = static_cast<double>(c.rhs);
-      lp.AddRow(std::move(row));
-    };
-    for (size_t k : indices) add_row(rows[k]);
-    for (const LinearConstraint& c : extras) add_row(c);
-
-    solver::MipResult r =
-        solver::MipSolver(mip_).Solve(lp, solver::Sense::kMaximize);
+    solver::MipStats probe_stats;
+    const Feasibility f =
+        CheckFeasible(constraints_, rows, extras, mip_, &probe_stats);
     // Probes run one after another, so their walls are disjoint intervals
     // that must add up — MergeFrom alone would keep only the longest
     // probe (its max semantics target concurrent strands).
-    const double wall_total = stats_.solve_seconds + r.stats.solve_seconds;
-    stats_.MergeFrom(r.stats);
+    const double wall_total =
+        stats_.solve_seconds + probe_stats.solve_seconds;
+    stats_.MergeFrom(probe_stats);
     stats_.solve_seconds = wall_total;
-    switch (r.status) {
-      case solver::SolveStatus::kOptimal: return Feas::kYes;
-      case solver::SolveStatus::kInfeasible: return Feas::kNo;
-      default: return Feas::kUnknown;
-    }
+    return f;
   }
 
   const ConstraintSet& constraints_;
-  const uint32_t num_vars_;
   const BoundsOptions& options_;
+  const std::vector<uint32_t> all_rows_;
+  solver::UnionFind components_;
+  std::unordered_map<BVar, std::vector<uint32_t>> rows_of_root_;
   solver::MipOptions mip_;
   solver::ComponentCache cache_;
   Deadline deadline_ = Deadline::Never();
   std::optional<solver::Scheduler> scheduler_;
   solver::MipStats stats_;
-  std::vector<BVar> parent_;
-  std::unordered_map<BVar, std::vector<size_t>> rows_of_root_;
   int64_t probe_count_ = 0;
   bool base_checked_ = false;
-  Feas base_result_ = Feas::kUnknown;
+  Feasibility base_result_ = Feasibility::kUnknown;
 };
 
 double NumericAt(const LicmRelation& r, size_t row, size_t col) {
@@ -519,12 +341,12 @@ Result<MinMaxBounds> ComputeMinMaxBounds(const std::vector<double>& vals,
   // shared cache, so later probes get them back for free.
   FeasibilityProber prober(constraints, num_vars, options);
   {
-    Feas base = prober.CheckBase();
-    if (base == Feas::kNo) {
+    Feasibility base = prober.CheckBase();
+    if (base == Feasibility::kInfeasible) {
       return Status::Infeasible(
           "LICM constraint set admits no possible world");
     }
-    if (base == Feas::kUnknown) out.exact_lo = out.exact_hi = false;
+    if (base == Feasibility::kUnknown) out.exact_lo = out.exact_hi = false;
   }
 
   // Emptiness: feasible to drop every tuple?
@@ -535,9 +357,9 @@ Result<MinMaxBounds> ComputeMinMaxBounds(const std::vector<double>& vals,
     for (const auto& [v, e] : by_value) {
       all_vars.insert(all_vars.end(), e.second.begin(), e.second.end());
     }
-    Feas f = prober.Check({None(all_vars)});
-    out.may_be_empty = f != Feas::kNo;
-    if (f == Feas::kUnknown) out.exact_lo = out.exact_hi = false;
+    Feasibility f = prober.Check({None(all_vars)});
+    out.may_be_empty = f != Feasibility::kInfeasible;
+    if (f == Feasibility::kUnknown) out.exact_lo = out.exact_hi = false;
   }
 
   // For MIN, mirror the values so the MAX logic below applies unchanged.
@@ -559,13 +381,13 @@ Result<MinMaxBounds> ComputeMinMaxBounds(const std::vector<double>& vals,
       extreme_found = true;
       break;
     }
-    Feas f = prober.Check({AtLeastOne(entry.second)});
-    if (f == Feas::kYes) {
+    Feasibility f = prober.Check({AtLeastOne(entry.second)});
+    if (f == Feasibility::kFeasible) {
       extreme = *it;
       extreme_found = true;
       break;
     }
-    if (f == Feas::kUnknown) {
+    if (f == Feasibility::kUnknown) {
       extreme = *it;  // conservative outer bound
       extreme_exact = false;
       extreme_found = true;
@@ -609,12 +431,12 @@ Result<MinMaxBounds> ComputeMinMaxBounds(const std::vector<double>& vals,
       if (not_better.empty()) continue;
       extras.push_back(AtLeastOne(not_better));
     }
-    Feas f = prober.Check(extras);
-    if (f == Feas::kYes) {
+    Feasibility f = prober.Check(extras);
+    if (f == Feasibility::kFeasible) {
       tame = v;
       break;
     }
-    if (f == Feas::kUnknown) {
+    if (f == Feasibility::kUnknown) {
       tame = v;  // conservative outer bound
       tame_exact = false;
       break;

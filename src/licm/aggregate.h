@@ -17,13 +17,6 @@
 
 namespace licm {
 
-/// Linear objective over existence variables: constant (from certain
-/// tuples) + sum of coef * b.
-struct Objective {
-  double constant = 0.0;
-  std::unordered_map<BVar, double> coefs;
-};
-
 /// COUNT(*) objective: each tuple contributes its Ext.
 Objective CountObjective(const LicmRelation& relation);
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/telemetry.h"
+#include "licm/prune.h"
 
 namespace licm {
 
@@ -35,10 +36,7 @@ std::shared_ptr<const MutableInstance::Snapshot> MutableInstance::snapshot()
 }
 
 void MutableInstance::RebuildConnectivity(const LicmDatabase& db) {
-  connectivity_.Reset(db.pool().size());
-  for (const LinearConstraint& c : db.constraints().constraints()) {
-    connectivity_.UnionAll(ConstraintVars(c));
-  }
+  connectivity_ = LabelComponents(db.constraints(), db.pool().size());
 }
 
 void MutableInstance::FillDirtySet(const std::vector<BVar>& vars,

@@ -19,7 +19,7 @@
 // pooled incumbents where a feasible point for the same form is known.
 //
 // Dirty-set tracking: constraints are hyperedges over BVars, and a
-// ConnectivityIndex (data/connectivity.h) over those hyperedges tells each
+// solver::UnionFind (solver/components.h) over those hyperedges tells each
 // mutation which connected components it perturbs. MutationResult reports
 // the dirty set's size so callers (and telemetry) can verify that a local
 // edit stays local. Tuple retraction never changes connectivity (edges
@@ -35,9 +35,9 @@
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "data/connectivity.h"
 #include "licm/evaluator.h"
 #include "licm/licm_relation.h"
+#include "solver/components.h"
 #include "solver/solve_cache.h"
 
 namespace licm {
@@ -153,7 +153,7 @@ class MutableInstance {
   mutable std::mutex state_mu_;
   std::mutex commit_mu_;
   std::shared_ptr<const Snapshot> snap_;
-  data::ConnectivityIndex connectivity_;
+  solver::UnionFind connectivity_;
 
   mutable solver::ComponentCache cache_;
   mutable solver::IncumbentPool incumbents_;

@@ -1,32 +1,52 @@
-// Lineage pruning (Section V-C "Pruning").
+// From a constraint set to the solver: lineage pruning (Section V-C
+// "Pruning"), the one program builder and the one feasibility check.
 //
 // Variables and constraints not reachable from the aggregate objective
 // cannot affect the optimum, so they are removed before the BIP is handed
 // to the solver. The paper exploits sequential variable creation to prune
-// in a single reverse pass; we run a worklist fixpoint over the
-// variable/constraint incidence graph, which costs the same asymptotically
-// and stays correct even for constraint orders that interleave groups
-// (e.g. permutation row/column constraints).
+// in a single reverse pass; we label the connected components of the row
+// hypergraph instead (solver::UnionFind), which costs the same
+// asymptotically and stays correct even for constraint orders that
+// interleave groups (e.g. permutation row/column constraints). Pruning
+// keeps every component that holds a seed.
 //
 // Soundness caveat (shared with the paper): pruning assumes the pruned-away
-// remainder is satisfiable — true whenever the LICM database describes at
-// least one possible world, which holds for every encoding of real data
-// (the original data is a world).
+// remainder is satisfiable. ComputeBounds checks exactly that with
+// CheckFeasible below, the consistency check of Flesca et al.; the MIN/MAX
+// feasibility probes run the same check on the components their extra rows
+// touch.
 #ifndef LICM_LICM_PRUNE_H_
 #define LICM_LICM_PRUNE_H_
 
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "licm/constraint.h"
+#include "solver/components.h"
+#include "solver/linear_program.h"
+#include "solver/mip_solver.h"
 
 namespace licm {
 
+/// Linear objective over existence variables: constant (from certain
+/// tuples) + sum of coef * b.
+struct Objective {
+  double constant = 0.0;
+  std::unordered_map<BVar, double> coefs;
+};
+
+/// Connected components of the row hypergraph over variables
+/// 0..num_vars-1: every row is one hyperedge over its variables. Rows
+/// naming a variable beyond num_vars grow the node set.
+solver::UnionFind LabelComponents(const ConstraintSet& constraints,
+                                  uint32_t num_vars);
+
+/// A selection of rows and variables of a constraint set.
 struct PruneResult {
-  /// Constraints reachable from the seed variables.
-  std::vector<LinearConstraint> kept;
-  /// Variables reachable from the seeds (includes the seeds).
-  std::unordered_set<BVar> live;
+  /// Indices of the kept rows, ascending (the original row order).
+  std::vector<uint32_t> rows;
+  /// Live variables, ascending (includes the seeds).
+  std::vector<BVar> live;
 
   struct Stats {
     size_t vars_before = 0;
@@ -36,9 +56,38 @@ struct PruneResult {
   } stats;
 };
 
-/// Keeps exactly the constraints/variables reachable from `seeds`.
+/// Keeps the rows and variables of every connected component that holds
+/// one of `seeds`. A seed that appears in no row is kept as its own
+/// singleton component.
 PruneResult Prune(const ConstraintSet& constraints,
                   const std::vector<BVar>& seeds, uint32_t num_vars);
+
+/// The identity selection: every row and every variable 0..num_vars-1.
+PruneResult KeepAll(const ConstraintSet& constraints, uint32_t num_vars);
+
+/// Builds the binary program over `vars` (ascending; vars[i] becomes
+/// solver variable i): rows `rows` of `constraints` in the given order,
+/// then `extras`, and `objective` when given. Every variable a row or the
+/// objective names must be in `vars`.
+solver::LinearProgram BuildProgram(
+    const ConstraintSet& constraints, const std::vector<uint32_t>& rows,
+    const std::vector<BVar>& vars,
+    const std::vector<LinearConstraint>& extras = {},
+    const Objective* objective = nullptr);
+
+enum class Feasibility { kFeasible, kInfeasible, kUnknown };
+
+/// Does some 0/1 assignment satisfy rows `rows` of `constraints` together
+/// with `extras`? Constant rows are evaluated directly; then a greedy
+/// witness is tried and verified against every row; only when it fails
+/// does a zero-objective solve under `mip` settle the question (kUnknown
+/// when that solve hits a limit). `*stats`, when given, receives the
+/// solve's statistics and is left untouched when no solve ran.
+Feasibility CheckFeasible(const ConstraintSet& constraints,
+                          const std::vector<uint32_t>& rows,
+                          const std::vector<LinearConstraint>& extras,
+                          const solver::MipOptions& mip,
+                          solver::MipStats* stats = nullptr);
 
 }  // namespace licm
 

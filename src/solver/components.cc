@@ -2,35 +2,66 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/telemetry.h"
 
 namespace licm::solver {
 
-namespace {
-// Union-find with path halving.
-class UnionFind {
- public:
-  explicit UnionFind(size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  size_t Find(size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(size_t a, size_t b) {
-    a = Find(a);
-    b = Find(b);
-    if (a != b) parent_[a] = b;
-  }
+void UnionFind::Reset(size_t num_nodes) {
+  parent_.clear();
+  size_.clear();
+  EnsureNodes(num_nodes);
+}
 
- private:
-  std::vector<size_t> parent_;
-};
-}  // namespace
+void UnionFind::EnsureNodes(size_t num_nodes) {
+  const size_t old = parent_.size();
+  if (num_nodes <= old) return;
+  parent_.resize(num_nodes);
+  size_.resize(num_nodes, 1);
+  std::iota(parent_.begin() + static_cast<std::ptrdiff_t>(old), parent_.end(),
+            static_cast<uint32_t>(old));
+}
+
+uint32_t UnionFind::Find(uint32_t node) {
+  EnsureNodes(static_cast<size_t>(node) + 1);
+  uint32_t root = node;
+  while (parent_[root] != root) root = parent_[root];
+  while (parent_[node] != root) {
+    const uint32_t next = parent_[node];
+    parent_[node] = root;
+    node = next;
+  }
+  return root;
+}
+
+void UnionFind::Union(uint32_t a, uint32_t b) {
+  uint32_t ra = Find(a);
+  uint32_t rb = Find(b);
+  if (ra == rb) return;
+  if (size_[ra] < size_[rb]) std::swap(ra, rb);
+  parent_[rb] = ra;
+  size_[ra] += size_[rb];
+}
+
+void UnionFind::UnionAll(const std::vector<uint32_t>& nodes) {
+  for (size_t i = 1; i < nodes.size(); ++i) Union(nodes[0], nodes[i]);
+}
+
+size_t UnionFind::NumComponents() {
+  size_t roots = 0;
+  for (uint32_t v = 0; v < parent_.size(); ++v) roots += Find(v) == v;
+  return roots;
+}
+
+std::vector<uint32_t> UnionFind::Component(uint32_t node) {
+  const uint32_t root = Find(node);
+  std::vector<uint32_t> out;
+  for (uint32_t v = 0; v < parent_.size(); ++v) {
+    if (Find(v) == root) out.push_back(v);
+  }
+  return out;
+}
 
 std::vector<Component> Decompose(const LinearProgram& lp) {
   LICM_TRACE_SPAN("solver", "decompose");
@@ -61,7 +92,7 @@ std::vector<Component> Decompose(const LinearProgram& lp) {
       }
       ci = isolated_comp;
     } else {
-      const size_t root = uf.Find(v);
+      const size_t root = uf.Find(static_cast<uint32_t>(v));
       if (root_to_comp[root] < 0) {
         root_to_comp[root] = static_cast<int32_t>(comps.size());
         comps.emplace_back();
@@ -79,7 +110,7 @@ std::vector<Component> Decompose(const LinearProgram& lp) {
 
   for (const Row& r : lp.rows()) {
     if (r.terms.empty()) continue;  // handled by presolve; skip defensively
-    const size_t v0 = r.terms[0].var;
+    const VarId v0 = r.terms[0].var;
     const size_t ci = static_cast<size_t>(root_to_comp[uf.Find(v0)]);
     Row nr;
     nr.op = r.op;

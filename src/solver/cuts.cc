@@ -9,6 +9,13 @@ namespace licm::solver {
 namespace {
 
 constexpr double kEps = 1e-9;
+// Cap on returned cuts per call (most violated first).
+constexpr int kMaxCuts = 32;
+// Minimum violation at the separation point for a cut to be emitted.
+constexpr double kMinViolation = 1e-3;
+// Rows with more terms than this are skipped (dense rows make weak covers
+// and cost quadratic minimalization time).
+constexpr size_t kMaxRowTerms = 128;
 
 // One complemented term of a knapsack row: weight > 0, and the literal's
 // LP value (1 - x when complemented).
@@ -53,8 +60,7 @@ std::vector<std::pair<int64_t, int>> CutKey(const Row& row) {
 }  // namespace
 
 std::vector<Row> GenerateCardinalityCuts(const LinearProgram& lp,
-                                         const std::vector<double>& x,
-                                         const CutOptions& opt) {
+                                         const std::vector<double>& x) {
   struct Found {
     Row row;
     double violation;
@@ -77,7 +83,7 @@ std::vector<Row> GenerateCardinalityCuts(const LinearProgram& lp,
 
   for (const Knap& kn : knaps) {
     const Row& row = *kn.row;
-    if (row.terms.size() < 3 || row.terms.size() > opt.max_row_terms) continue;
+    if (row.terms.size() < 3 || row.terms.size() > kMaxRowTerms) continue;
 
     // Complement to an all-positive knapsack over binaries.
     lits.clear();
@@ -146,7 +152,7 @@ std::vector<Row> GenerateCardinalityCuts(const LinearProgram& lp,
         double val = 0.0;
         for (const Literal* l : cover) val += l->value;
         const double viol = val - (static_cast<double>(cover.size()) - 1.0);
-        if (cover.size() >= 2 && viol >= opt.min_violation) {
+        if (cover.size() >= 2 && viol >= kMinViolation) {
           found.push_back(
               Found{ToInputRow(cover, static_cast<int>(cover.size()) - 1),
                     viol});
@@ -164,7 +170,7 @@ std::vector<Row> GenerateCardinalityCuts(const LinearProgram& lp,
         val += l.value;
       }
     }
-    if (clique.size() >= 3 && val - 1.0 >= opt.min_violation) {
+    if (clique.size() >= 3 && val - 1.0 >= kMinViolation) {
       found.push_back(Found{ToInputRow(clique, 1), val - 1.0});
     }
   }
@@ -177,7 +183,7 @@ std::vector<Row> GenerateCardinalityCuts(const LinearProgram& lp,
   std::vector<Row> out;
   std::set<std::vector<std::pair<int64_t, int>>> seen;
   for (Found& c : found) {
-    if (static_cast<int>(out.size()) >= opt.max_cuts) break;
+    if (static_cast<int>(out.size()) >= kMaxCuts) break;
     if (!seen.insert(CutKey(c.row)).second) continue;
     out.push_back(std::move(c.row));
   }

@@ -14,8 +14,8 @@
 // Cuts are separated at a fractional LP point (only violated cuts are
 // returned) and de-complemented back into input variable space, so they
 // are valid for the original program regardless of the current search
-// node — which is what lets the per-component cut pool (solve_cache.h)
-// reuse them across cache hits.
+// node — which is what lets every search strand of a component share
+// them.
 #ifndef LICM_SOLVER_CUTS_H_
 #define LICM_SOLVER_CUTS_H_
 
@@ -25,23 +25,13 @@
 
 namespace licm::solver {
 
-struct CutOptions {
-  /// Cap on returned cuts per call (most violated first).
-  int max_cuts = 32;
-  /// Minimum violation at the separation point for a cut to be emitted.
-  double min_violation = 1e-3;
-  /// Rows with more terms than this are skipped (dense rows make weak
-  /// covers and cost quadratic minimalization time).
-  size_t max_row_terms = 128;
-};
-
 /// Separates violated cover and clique cuts for `lp` at the fractional
-/// point `x` (indexed by VarId). Only rows whose variables are all binary
-/// in `lp` participate. Returned rows are kLe over input variables and
+/// point `x` (indexed by VarId), at most 32 per call, most violated first.
+/// Only rows of at most 128 terms whose variables are all binary in `lp`
+/// participate. Returned rows are kLe over input variables and
 /// globally valid for every integer-feasible point of `lp`.
 std::vector<Row> GenerateCardinalityCuts(const LinearProgram& lp,
-                                         const std::vector<double>& x,
-                                         const CutOptions& options = {});
+                                         const std::vector<double>& x);
 
 }  // namespace licm::solver
 

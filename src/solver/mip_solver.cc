@@ -62,6 +62,26 @@ double ActivityBound(const LinearProgram& lp, const Domains& dom) {
 constexpr VarId kNoVar = std::numeric_limits<VarId>::max();
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
+// Feasibility / integrality tolerance of the search.
+constexpr double kTol = 1e-6;
+// Components with more variables than this bypass the solve cache: the
+// cache targets the small per-group components k-anonymization emits by
+// the thousand, while a query that couples everything into one big blob
+// (e.g. through a join) produces a unique component whose fingerprint
+// would cost more than it could ever save.
+constexpr size_t kCacheMaxComponentVars = 512;
+// Skip the cold LP bound for components larger than this many variables
+// (dense tableau cost grows quadratically); propagation and probing
+// bounds remain.
+constexpr size_t kLpBoundMaxVars = 150;
+// Components up to this many variables use the warm LP even above
+// kLpBoundMaxVars (warm re-solves amortize the larger tableau).
+constexpr size_t kWarmLpMaxVars = 400;
+// Cut rows a single component search may accumulate.
+constexpr size_t kMaxCutsPerComponent = 32;
+// Fractional candidates probed by strong branching at the root.
+constexpr size_t kStrongBranchCandidates = 8;
+
 // Serialized identity of a cut row for deduplication in the component
 // registry (variable ids, coefficient signs, rounded rhs).
 std::string CutKeyString(const Row& row) {
@@ -99,16 +119,15 @@ class ComponentSearch {
  public:
   ComponentSearch(const LinearProgram& lp, const MipOptions& opt,
                   const Deadline& deadline, Scheduler* scheduler,
-                  MipStats* stats, int64_t trace_id = 0,
-                  const CanonicalForm* form = nullptr)
+                  MipStats* stats, int64_t trace_id = 0)
       : lp_(lp), opt_(opt), deadline_(deadline), scheduler_(scheduler),
-        stats_(stats), trace_id_(trace_id), form_(form), propagator_(lp),
+        stats_(stats), trace_id_(trace_id), propagator_(lp),
         integral_(AllIntegral(lp)),
         lp_warm_(opt.use_lp_bound && opt.use_warm_lp &&
-                 lp.num_vars() <= opt.warm_lp_max_vars &&
-                 IncrementalLp::Suitable(lp, SimplexOptions{})),
+                 lp.num_vars() <= kWarmLpMaxVars &&
+                 IncrementalLp::Suitable(lp)),
         lp_at_nodes_(opt.use_lp_bound &&
-                     (lp.num_vars() <= opt.lp_bound_max_vars || lp_warm_)) {
+                     (lp.num_vars() <= kLpBoundMaxVars || lp_warm_)) {
     if (opt.use_pseudo_cost) {
       for (int dir = 0; dir < 2; ++dir) {
         pc_sum_[dir].assign(lp.num_vars(), 0.0);
@@ -147,7 +166,7 @@ class ComponentSearch {
   /// adaptive prologue may just find the root gap already closed.
   bool SeedIncumbent(std::vector<double> x) {
     if (x.size() != lp_.num_vars()) return false;
-    if (!lp_.IsFeasible(x, opt_.tol)) return false;
+    if (!lp_.IsFeasible(x, kTol)) return false;
     const double val = lp_.EvalObjective(x);
     OfferIncumbent(val, std::move(x));
     return true;
@@ -237,8 +256,8 @@ class ComponentSearch {
         }
       }
 
-      // Root LP: warm state, pooled cuts, root cut separation, and strong
-      // branching — all before any parallel strand exists.
+      // Root LP: warm state, root cut separation, and strong branching —
+      // all before any parallel strand exists.
       double root_bound = kInfinity;
       if (lp_warm_ && !RootLpSetup(&root_strand, &root_bound)) {
         res.status = SolveStatus::kInfeasible;
@@ -261,12 +280,6 @@ class ComponentSearch {
         if (group) group->Wait();  // donated strands merge their stats
         group_ = nullptr;
         MergeLocalStats(local);
-      }
-      // Cuts survive the search — valid rows for every later isomorphic
-      // component even when this solve itself hit a limit.
-      if (opt_.use_cuts && opt_.cut_pool != nullptr && form_ != nullptr) {
-        std::lock_guard<std::mutex> lock(cuts_mu_);
-        if (!cuts_.empty()) opt_.cut_pool->Store(*form_, cuts_);
       }
     } else {
       res.status = SolveStatus::kInfeasible;
@@ -448,10 +461,10 @@ class ComponentSearch {
     for (const Row& row : lp_.rows()) {
       double act = 0.0;
       for (const Term& t : row.terms) act += t.coef * x[t.var];
-      const bool ok = row.op == RowOp::kLe   ? act <= row.rhs + opt_.tol
-                      : row.op == RowOp::kGe ? act >= row.rhs - opt_.tol
+      const bool ok = row.op == RowOp::kLe   ? act <= row.rhs + kTol
+                      : row.op == RowOp::kGe ? act >= row.rhs - kTol
                                              : std::abs(act - row.rhs) <=
-                                                   opt_.tol;
+                                                   kTol;
       if (!ok) return false;
     }
     const double val = lp_.EvalObjective(x);  // before the move below
@@ -540,7 +553,7 @@ class ComponentSearch {
   // donor's snapshot — falls back to a cold basis inside RestoreBasis).
   void EnsureLp(Strand* s) {
     if (s->lp != nullptr) return;
-    s->lp = std::make_unique<IncrementalLp>(lp_, SimplexOptions{});
+    s->lp = std::make_unique<IncrementalLp>(lp_);
     ApplyNewCuts(s);
     if (!s->seed_basis.empty()) s->lp->RestoreBasis(s->seed_basis);
   }
@@ -559,17 +572,12 @@ class ComponentSearch {
   // unseen ones (deduped across strands), and replays them into this
   // strand's LP. Returns how many new cuts were registered.
   int SeparateCuts(Strand* s, const std::vector<double>& x, MipStats* stats) {
-    CutOptions copt;
-    copt.max_cuts = opt_.max_cuts_per_component;
-    std::vector<Row> gen = GenerateCardinalityCuts(lp_, x, copt);
+    std::vector<Row> gen = GenerateCardinalityCuts(lp_, x);
     int added = 0;
     {
       std::lock_guard<std::mutex> lock(cuts_mu_);
       for (Row& r : gen) {
-        if (cuts_.size() >=
-            static_cast<size_t>(opt_.max_cuts_per_component)) {
-          break;
-        }
+        if (cuts_.size() >= kMaxCutsPerComponent) break;
         if (!cut_keys_.insert(CutKeyString(r)).second) continue;
         cuts_.push_back(std::move(r));
         ++added;
@@ -593,7 +601,7 @@ class ComponentSearch {
   int RcFix(Strand* s, double lp_obj, MipStats* stats) {
     const double inc = incumbent_value_.load(std::memory_order_relaxed);
     const double limit =
-        integral_ ? inc + 1.0 - 2.0 * opt_.tol : inc + opt_.tol;
+        integral_ ? inc + 1.0 - 2.0 * kTol : inc + kTol;
     Domains& dom = s->dom;
     std::vector<VarId> fixed;
     for (VarId v = 0; v < lp_.num_vars(); ++v) {
@@ -653,7 +661,7 @@ class ComponentSearch {
       if (!lp_.vars()[v].is_integer) continue;
       if (dom.upper[v] - dom.lower[v] <= 0.5) continue;
       const double f = x[v] - std::floor(x[v]);
-      if (f <= opt_.tol || f >= 1.0 - opt_.tol) continue;
+      if (f <= kTol || f >= 1.0 - kTol) continue;
       const double down =
           pc_cnt_[0][v] > 0 ? pc_sum_[0][v] / pc_cnt_[0][v] : avg[0];
       const double up =
@@ -670,31 +678,13 @@ class ComponentSearch {
   }
 
   // Root LP work, all before any parallel strand exists: builds the root
-  // strand's warm state, replays pooled cuts from isomorphic components,
-  // separates a few rounds of fresh root cuts, and seeds the pseudo-cost
+  // strand's warm state, separates a few rounds of root cuts, and seeds
+  // the pseudo-cost
   // tables by strong branching. Returns false when the relaxation (with
   // globally valid cuts) is infeasible — a proof that the component is.
   bool RootLpSetup(Strand* s, double* root_bound) {
     LICM_TRACE_SPAN("solver", "root_lp");
     EnsureLp(s);
-    if (opt_.use_cuts && opt_.cut_pool != nullptr && form_ != nullptr) {
-      std::vector<Row> pooled = opt_.cut_pool->Fetch(*form_);
-      int added = 0;
-      {
-        std::lock_guard<std::mutex> lock(cuts_mu_);
-        for (Row& r : pooled) {
-          if (cuts_.size() >=
-              static_cast<size_t>(opt_.max_cuts_per_component)) {
-            break;
-          }
-          if (!cut_keys_.insert(CutKeyString(r)).second) continue;
-          cuts_.push_back(std::move(r));
-          ++added;
-        }
-      }
-      stats_->cuts_reused += added;
-      if (added > 0) ApplyNewCuts(s);
-    }
     auto solve = [&] {
       const SolveStatus st = s->lp->Solve(s->dom.lower, s->dom.upper);
       ++stats_->lp_solves;
@@ -716,7 +706,7 @@ class ComponentSearch {
     }
     if (st == SolveStatus::kOptimal) {
       *root_bound = s->lp->objective();
-      if (integral_) *root_bound = std::floor(*root_bound + opt_.tol);
+      if (integral_) *root_bound = std::floor(*root_bound + kTol);
       if (opt_.use_pseudo_cost) StrongBranchRoot(s);
     }
     return true;
@@ -736,14 +726,13 @@ class ComponentSearch {
       if (!lp_.vars()[v].is_integer) continue;
       if (dom.upper[v] - dom.lower[v] <= 0.5) continue;
       const double f = std::abs(x[v] - std::round(x[v]));
-      if (f > opt_.tol) cands.emplace_back(f, v);
+      if (f > kTol) cands.emplace_back(f, v);
     }
     std::sort(cands.begin(), cands.end(), [](const auto& a, const auto& b) {
       return a.first > b.first || (a.first == b.first && a.second < b.second);
     });
-    if (opt_.strong_branch_candidates >= 0 &&
-        cands.size() > static_cast<size_t>(opt_.strong_branch_candidates)) {
-      cands.resize(static_cast<size_t>(opt_.strong_branch_candidates));
+    if (cands.size() > kStrongBranchCandidates) {
+      cands.resize(kStrongBranchCandidates);
     }
     for (const auto& [f, v] : cands) {
       if (deadline_.Expired()) break;
@@ -827,7 +816,7 @@ class ComponentSearch {
       infeasible_only_.store(false, std::memory_order_relaxed);
 
       double bound = std::min(ActivityBound(lp_, dom), d.inherited);
-      if (integral_) bound = std::floor(bound + opt_.tol);
+      if (integral_) bound = std::floor(bound + kTol);
       if (telemetry::Enabled() &&
           ++since_progress >= opt_.trace_progress_nodes) {
         since_progress = 0;
@@ -839,7 +828,7 @@ class ComponentSearch {
         continue;  // probing proved the node infeasible
       }
       bound = std::min(ActivityBound(lp_, dom), d.inherited);
-      if (integral_) bound = std::floor(bound + opt_.tol);
+      if (integral_) bound = std::floor(bound + kTol);
       if (Cut(bound)) continue;
 
       // LP relaxation at the node. The warm path re-solves the strand's
@@ -876,7 +865,7 @@ class ComponentSearch {
                              (d.parent_obj - lp_obj) / d.pc_dist);
           }
           double lpb = lp_obj;
-          if (integral_) lpb = std::floor(lpb + opt_.tol);
+          if (integral_) lpb = std::floor(lpb + kTol);
           bound = std::min(bound, lpb);
           if (Cut(bound)) {
             prune = true;
@@ -894,7 +883,7 @@ class ComponentSearch {
           }
           const std::vector<double>& x = s->lp->values();
           VarId most_frac = kNoVar;
-          double best_frac = opt_.tol;
+          double best_frac = kTol;
           for (VarId v = 0; v < lp_.num_vars(); ++v) {
             if (!lp_.vars()[v].is_integer) continue;
             const double f = std::abs(x[v] - std::round(x[v]));
@@ -941,12 +930,12 @@ class ComponentSearch {
         if (rel.status == SolveStatus::kOptimal) {
           lp_obj = rel.objective;
           double lpb = lp_obj;
-          if (integral_) lpb = std::floor(lpb + opt_.tol);
+          if (integral_) lpb = std::floor(lpb + kTol);
           bound = std::min(bound, lpb);
           if (Cut(bound)) continue;
           // Integral LP solutions are incumbents for free.
           VarId most_frac = kNoVar;
-          double best_frac = opt_.tol;
+          double best_frac = kTol;
           for (VarId v = 0; v < lp_.num_vars(); ++v) {
             if (!lp_.vars()[v].is_integer) continue;
             const double f =
@@ -1158,7 +1147,7 @@ class ComponentSearch {
   bool Cut(double bound) const {
     return has_incumbent_.load(std::memory_order_relaxed) &&
            bound <= incumbent_value_.load(std::memory_order_relaxed) +
-                        opt_.tol;
+                        kTol;
   }
 
   // True when the incumbent already matches the root activity bound (same
@@ -1166,7 +1155,7 @@ class ComponentSearch {
   // node immediately, so any remaining prologue work is pure overhead.
   bool RootGapClosed(const Domains& dom) const {
     double bound = ActivityBound(lp_, dom);
-    if (integral_) bound = std::floor(bound + opt_.tol);
+    if (integral_) bound = std::floor(bound + kTol);
     return Cut(bound);
   }
 
@@ -1177,7 +1166,7 @@ class ComponentSearch {
 
   double NodeBoundCheap(const Domains& dom) const {
     double b = ActivityBound(lp_, dom);
-    if (integral_) b = std::floor(b + opt_.tol);
+    if (integral_) b = std::floor(b + kTol);
     return b;
   }
 
@@ -1196,7 +1185,6 @@ class ComponentSearch {
   Scheduler* const scheduler_;  // null => splitting disabled
   MipStats* stats_;             // merged into under stats_mu_
   const int64_t trace_id_;      // component id in telemetry events
-  const CanonicalForm* form_;   // cut-pool key (null => no pooling)
   Propagator propagator_;       // Run() is const and stateless: shared
   const bool integral_;
   const bool lp_warm_;      // strands keep warm IncrementalLp states
@@ -1287,7 +1275,7 @@ ComponentResult EntryToResult(const ComponentCache::Entry& e,
 // answers the whole isomorphism class, and proved results are memoized for
 // later batches. Rowless programs skip the cache — solving them by
 // inspection is cheaper than fingerprinting them — as do components above
-// the size cap (see MipOptions::cache_max_component_vars).
+// the size cap (kCacheMaxComponentVars).
 //
 // With a multi-thread scheduler, component tasks go through one shared
 // pool, and each ComponentSearch may additionally donate subtrees into
@@ -1314,7 +1302,7 @@ std::vector<ComponentResult> SolveBatch(
       if (programs[i]->num_rows() == 0) continue;
       const bool cacheable =
           opt.cache != nullptr &&
-          programs[i]->num_vars() <= opt.cache_max_component_vars;
+          programs[i]->num_vars() <= kCacheMaxComponentVars;
       if (!cacheable && opt.incumbent_pool == nullptr) continue;
       forms[i] = Canonicalize(*programs[i]);
       ++stats->canonical_forms;
@@ -1378,7 +1366,7 @@ std::vector<ComponentResult> SolveBatch(
       telemetry::ScopedSpan span("solver", "search");
       span.AddArg("component", static_cast<double>(i));
       ComponentSearch search(*programs[i], opt, deadline, scheduler,
-                             task_stats, static_cast<int64_t>(i), &forms[i]);
+                             task_stats, static_cast<int64_t>(i));
       seed_from_pool(&search, forms[i], task_stats);
       results[i] = search.Run();
       const ComponentResult& res = results[i];
@@ -1399,8 +1387,7 @@ std::vector<ComponentResult> SolveBatch(
     telemetry::ScopedSpan span("solver", "search");
     span.AddArg("component", static_cast<double>(i));
     ComponentSearch search(*programs[i], opt, deadline, scheduler, task_stats,
-                           static_cast<int64_t>(i),
-                           use_pool[i] ? &forms[i] : nullptr);
+                           static_cast<int64_t>(i));
     if (use_pool[i]) seed_from_pool(&search, forms[i], task_stats);
     results[i] = search.Run();
     if (use_pool[i]) store_to_pool(results[i], forms[i]);
@@ -1553,7 +1540,6 @@ void MipStats::MergeFrom(const MipStats& other) {
   max_resolve_pivots = std::max(max_resolve_pivots, other.max_resolve_pivots);
   rc_fixed_vars += other.rc_fixed_vars;
   cuts_generated += other.cuts_generated;
-  cuts_reused += other.cuts_reused;
   warm_incumbents += other.warm_incumbents;
   strong_branch_solves += other.strong_branch_solves;
   num_threads = std::max(num_threads, other.num_threads);
@@ -1585,8 +1571,6 @@ void RecordSolveMetrics(const MipStats& s) {
       reg.GetCounter("licm_solver_rc_fixed_vars_total");
   static metrics::Counter* cuts_generated =
       reg.GetCounter("licm_solver_cuts_generated_total");
-  static metrics::Counter* cut_hits =
-      reg.GetCounter("licm_solver_cut_hits_total");
   static metrics::Counter* cache_hits =
       reg.GetCounter("licm_solver_cache_hits_total");
   static metrics::Counter* cache_misses =
@@ -1604,7 +1588,6 @@ void RecordSolveMetrics(const MipStats& s) {
   pivots->Increment(static_cast<int64_t>(s.lp_pivots));
   rc_fixed->Increment(static_cast<int64_t>(s.rc_fixed_vars));
   cuts_generated->Increment(static_cast<int64_t>(s.cuts_generated));
-  cut_hits->Increment(static_cast<int64_t>(s.cuts_reused));
   cache_hits->Increment(static_cast<int64_t>(s.cache_hits));
   cache_misses->Increment(static_cast<int64_t>(s.cache_misses));
   steals->Increment(static_cast<int64_t>(s.subtree_splits));

@@ -18,7 +18,6 @@
 namespace licm::solver {
 
 class ComponentCache;
-class CutPool;
 class IncumbentPool;
 class Scheduler;
 
@@ -37,12 +36,6 @@ struct MipOptions {
   /// each Solve/SolveMinMax call uses a private per-call cache, which
   /// still dedupes isomorphic components within the call.
   ComponentCache* cache = nullptr;
-  /// Components with more variables than this bypass the cache: the cache
-  /// targets the small per-group components k-anonymization emits by the
-  /// thousand, while a query that couples everything into one big blob
-  /// (e.g. through a join) produces a unique component whose fingerprint
-  /// would cost more than it could ever save.
-  size_t cache_max_component_vars = 512;
   /// Singleton-consistency probing at each component root.
   bool use_probing = true;
   /// Per-node probing of objective variables: tentatively fix each unfixed
@@ -54,10 +47,6 @@ struct MipOptions {
   /// Node cap per connected component; exceeding it degrades the result to
   /// kTimeLimit with valid (objective, best_bound) interval.
   int64_t max_nodes_per_component = 4'000'000;
-  /// Skip the LP bound for components larger than this many variables
-  /// (dense tableau cost grows quadratically); propagation and probing
-  /// bounds remain.
-  size_t lp_bound_max_vars = 150;
   /// Incremental LP core (simplex.h IncrementalLp): each search strand
   /// keeps one warm bounded-variable dual-simplex state and re-solves a
   /// node's relaxation from the parent basis in a few pivots instead of a
@@ -65,9 +54,6 @@ struct MipOptions {
   /// use_rc_fixing / use_cuts / use_pseudo_cost, which consume its duals
   /// and fractional vertices.
   bool use_warm_lp = true;
-  /// Components up to this many variables use the warm LP even above
-  /// lp_bound_max_vars (warm re-solves amortize the larger tableau).
-  size_t warm_lp_max_vars = 400;
   /// Reduced-cost variable fixing: after an optimal node relaxation with
   /// an incumbent in hand, a nonbasic integer whose reduced cost proves
   /// every improving solution keeps it at its bound is fixed there for the
@@ -75,14 +61,9 @@ struct MipOptions {
   /// bound trail.
   bool use_rc_fixing = true;
   /// Cover/clique cuts separated from cardinality rows (cuts.h) at
-  /// fractional relaxation vertices, kept per component and reused across
-  /// isomorphic components via `cut_pool`.
+  /// fractional relaxation vertices, shared by every search strand of a
+  /// component.
   bool use_cuts = true;
-  /// Cut rows a single component search may accumulate.
-  int max_cuts_per_component = 32;
-  /// Cross-call cut reuse keyed by canonical form (see solve_cache.h).
-  /// Optional even when use_cuts is set; per-search separation still runs.
-  CutPool* cut_pool = nullptr;
   /// Cross-call warm starts keyed by canonical form (see solve_cache.h):
   /// the best feasible point of every searched component is pooled, and a
   /// later solve of the same form seeds its search with the pooled point
@@ -104,8 +85,6 @@ struct MipOptions {
   /// then all dives). Bounds are identical either way; only the work done
   /// to reach them changes.
   bool use_adaptive_prologue = true;
-  /// Fractional candidates probed by strong branching at the root.
-  int strong_branch_candidates = 8;
   /// Worker threads shared by independent connected components and by
   /// intra-component subtree search (the paper's concluding remark that
   /// "parallelism ... may be required to scale"). 0 (the default)
@@ -133,7 +112,6 @@ struct MipOptions {
   /// component). Only consulted while a trace session is recording
   /// (common/telemetry.h); small values are test/demo territory.
   int64_t trace_progress_nodes = 4096;
-  double tol = 1e-6;
 };
 
 struct MipStats {
@@ -168,9 +146,8 @@ struct MipStats {
   int64_t max_resolve_pivots = 0;
   /// Variables fixed by reduced-cost bounds across all nodes.
   int64_t rc_fixed_vars = 0;
-  /// Cut rows separated by this solve / replayed from the cut pool.
+  /// Cut rows separated by this solve.
   int64_t cuts_generated = 0;
-  int64_t cuts_reused = 0;
   /// Component searches seeded with a feasible point from the incumbent
   /// pool (the point passed the pre-seed feasibility re-check).
   int64_t warm_incumbents = 0;

@@ -8,6 +8,19 @@
 namespace licm::solver {
 namespace {
 
+// Numerical tolerance for pivot eligibility and feasibility tests.
+constexpr double kTol = 1e-9;
+// Iteration cap; past half of it pivoting switches to Bland's rule, and
+// exceeding it aborts (reported as time limit).
+constexpr int kMaxIterations = 100000;
+// Hard cap on tableau cells to protect against accidentally huge dense
+// instances; exceeding it returns kTimeLimit so callers fall back to
+// propagation bounds.
+constexpr size_t kMaxTableauCells = 64ull * 1024 * 1024;
+// Pivots between refactorizations of the incremental engine (drift
+// control; each refactorization rebuilds the tableau from the basis).
+constexpr int kRefactorInterval = 4096;
+
 // Dense tableau for the two-phase method. Column layout:
 //   [0, n)          shifted structural variables (y = x - lower)
 //   [n, n + s)      slack / surplus variables
@@ -61,27 +74,26 @@ class Tableau {
 // coefficients expressed in the current basis, i.e. already eliminated for
 // basic columns). Returns kOptimal, kUnbounded, or kTimeLimit.
 SolveStatus Iterate(Tableau* t, std::vector<double>* obj, double* obj_value,
-                    std::vector<size_t>* basis, size_t usable_cols,
-                    const SimplexOptions& opt) {
+                    std::vector<size_t>* basis, size_t usable_cols) {
   const size_t m = t->rows();
   int iters = 0;
   // After this many Dantzig iterations, switch to Bland's rule, which is
   // slower but provably cycle-free.
-  const int bland_after = opt.max_iterations / 2;
+  const int bland_after = kMaxIterations / 2;
   for (;;) {
-    if (++iters > opt.max_iterations) return SolveStatus::kTimeLimit;
+    if (++iters > kMaxIterations) return SolveStatus::kTimeLimit;
     const bool bland = iters > bland_after;
 
     // Entering column: positive reduced cost (we maximize).
     size_t enter = usable_cols;
-    double best = opt.tol;
+    double best = kTol;
     for (size_t c = 0; c < usable_cols; ++c) {
       const double rc = (*obj)[c];
       if (rc > best) {
         enter = c;
         if (bland) break;  // first eligible
         best = rc;
-      } else if (bland && rc > opt.tol) {
+      } else if (bland && rc > kTol) {
         enter = c;
         break;
       }
@@ -93,10 +105,10 @@ SolveStatus Iterate(Tableau* t, std::vector<double>* obj, double* obj_value,
     double best_ratio = 0.0;
     for (size_t r = 0; r < m; ++r) {
       const double a = t->At(r, enter);
-      if (a > opt.tol) {
+      if (a > kTol) {
         const double ratio = t->Rhs(r) / a;
-        if (leave == m || ratio < best_ratio - opt.tol ||
-            (bland && std::abs(ratio - best_ratio) <= opt.tol &&
+        if (leave == m || ratio < best_ratio - kTol ||
+            (bland && std::abs(ratio - best_ratio) <= kTol &&
              (*basis)[r] < (*basis)[leave])) {
           leave = r;
           best_ratio = ratio;
@@ -112,8 +124,7 @@ SolveStatus Iterate(Tableau* t, std::vector<double>* obj, double* obj_value,
 
 }  // namespace
 
-LpSolution SolveLpRelaxation(const LinearProgram& lp, Sense sense,
-                             const SimplexOptions& opt) {
+LpSolution SolveLpRelaxation(const LinearProgram& lp, Sense sense) {
   LpSolution out;
   const size_t n = lp.num_vars();
 
@@ -147,9 +158,9 @@ LpSolution SolveLpRelaxation(const LinearProgram& lp, Sense sense,
     if (br.terms.empty()) {
       bool ok_row = true;
       switch (br.op) {
-        case RowOp::kLe: ok_row = 0.0 <= br.rhs + opt.tol; break;
-        case RowOp::kGe: ok_row = 0.0 >= br.rhs - opt.tol; break;
-        case RowOp::kEq: ok_row = std::abs(br.rhs) <= opt.tol; break;
+        case RowOp::kLe: ok_row = 0.0 <= br.rhs + kTol; break;
+        case RowOp::kGe: ok_row = 0.0 >= br.rhs - kTol; break;
+        case RowOp::kEq: ok_row = std::abs(br.rhs) <= kTol; break;
       }
       if (!ok_row) {
         out.status = SolveStatus::kInfeasible;
@@ -185,7 +196,7 @@ LpSolution SolveLpRelaxation(const LinearProgram& lp, Sense sense,
     if (br.op != RowOp::kLe) ++num_art;
 
   const size_t total_cols = n + num_slack + num_art;
-  if (m * (total_cols + 1) > opt.max_tableau_cells) {
+  if (m * (total_cols + 1) > kMaxTableauCells) {
     out.status = SolveStatus::kTimeLimit;
     return out;
   }
@@ -232,8 +243,8 @@ LpSolution SolveLpRelaxation(const LinearProgram& lp, Sense sense,
     for (size_t c = n + num_slack; c < total_cols; ++c) phase1_obj[c] = 0.0;
     phase1_value = -phase1_value;
     // Allow artificials to re-enter? No: restrict pivoting to real columns.
-    SolveStatus st = Iterate(&t, &phase1_obj, &phase1_value, &basis,
-                             n + num_slack, opt);
+    SolveStatus st =
+        Iterate(&t, &phase1_obj, &phase1_value, &basis, n + num_slack);
     if (st == SolveStatus::kTimeLimit) {
       out.status = st;
       return out;
@@ -248,7 +259,7 @@ LpSolution SolveLpRelaxation(const LinearProgram& lp, Sense sense,
       if (basis[r] >= n + num_slack) {
         size_t pc = total_cols;
         for (size_t c = 0; c < n + num_slack; ++c) {
-          if (std::abs(t.At(r, c)) > opt.tol) {
+          if (std::abs(t.At(r, c)) > kTol) {
             pc = c;
             break;
           }
@@ -284,8 +295,7 @@ LpSolution SolveLpRelaxation(const LinearProgram& lp, Sense sense,
       obj[b] = 0.0;
     }
   }
-  SolveStatus st =
-      Iterate(&t, &obj, &obj_value, &basis, n + num_slack, opt);
+  SolveStatus st = Iterate(&t, &obj, &obj_value, &basis, n + num_slack);
   if (st != SolveStatus::kOptimal) {
     out.status = st;
     return out;
@@ -309,7 +319,7 @@ LpSolution SolveLpRelaxation(const LinearProgram& lp, Sense sense,
 namespace {
 
 // Feasibility tolerance for primal bound violations in the dual engine.
-// Looser than SimplexOptions::tol (which governs pivot eligibility) to
+// Looser than kTol (which governs pivot eligibility) to
 // match the 1e-7 feasibility tolerance of the primal engine above.
 constexpr double kFeasTol = 1e-7;
 // Minimum |pivot| accepted by the ratio test.
@@ -320,8 +330,7 @@ constexpr double kZeroEps = 1e-9;
 
 }  // namespace
 
-bool IncrementalLp::Suitable(const LinearProgram& lp,
-                             const SimplexOptions& options) {
+bool IncrementalLp::Suitable(const LinearProgram& lp) {
   const size_t n = lp.num_vars();
   if (n == 0) return false;
   for (const auto& v : lp.vars()) {
@@ -330,12 +339,10 @@ bool IncrementalLp::Suitable(const LinearProgram& lp,
   const size_t m = lp.num_rows();
   // Reserve headroom for cut rows when sizing the dense tableau.
   const size_t kCutReserve = 64;
-  return (m + kCutReserve) * (n + m + kCutReserve) <= options.max_tableau_cells;
+  return (m + kCutReserve) * (n + m + kCutReserve) <= kMaxTableauCells;
 }
 
-IncrementalLp::IncrementalLp(const LinearProgram& lp,
-                             const SimplexOptions& options)
-    : lp_(lp), opt_(options) {
+IncrementalLp::IncrementalLp(const LinearProgram& lp) : lp_(lp) {
   num_vars_ = lp.num_vars();
   num_base_rows_ = lp.num_rows();
   num_rows_ = num_base_rows_;
@@ -541,7 +548,7 @@ SolveStatus IncrementalLp::Solve(const std::vector<double>& lower,
   ++stats_.solves;
   last_pivots_ = 0;
   for (VarId v = 0; v < num_vars_; ++v) {
-    if (lower[v] > upper[v] + opt_.tol) return SolveStatus::kInfeasible;
+    if (lower[v] > upper[v] + kTol) return SolveStatus::kInfeasible;
   }
 
   if (!factorized_) {
@@ -552,12 +559,12 @@ SolveStatus IncrementalLp::Solve(const std::vector<double>& lower,
     ColdBasis();
   } else {
     SyncBounds(lower, upper);
-    if (pivots_since_refactor_ >= opt_.refactor_interval) {
+    if (pivots_since_refactor_ >= kRefactorInterval) {
       if (!Refactorize()) ColdBasis();
     }
   }
 
-  const int bland_after = opt_.max_iterations / 2;
+  const int bland_after = kMaxIterations / 2;
   bool retried_after_refactor = false;
   for (;;) {
     // Leaving row: largest primal bound violation among basic variables.
@@ -575,7 +582,7 @@ SolveStatus IncrementalLp::Solve(const std::vector<double>& lower,
     }
     if (row == num_rows_) break;  // primal feasible => optimal
 
-    if (++last_pivots_ > opt_.max_iterations) {
+    if (++last_pivots_ > kMaxIterations) {
       factorized_ = false;  // state is suspect; next Solve cold-starts
       return SolveStatus::kTimeLimit;
     }
@@ -612,8 +619,8 @@ SolveStatus IncrementalLp::Solve(const std::vector<double>& lower,
         continue;
       }
       if (bland) continue;  // first eligible (smallest index) already kept
-      if (score < best_score - opt_.tol ||
-          (score < best_score + opt_.tol && std::abs(a) > best_alpha)) {
+      if (score < best_score - kTol ||
+          (score < best_score + kTol && std::abs(a) > best_alpha)) {
         enter = j;
         best_score = score;
         best_alpha = std::abs(a);

@@ -29,26 +29,11 @@
 
 namespace licm::solver {
 
-struct SimplexOptions {
-  /// Numerical tolerance for feasibility / optimality tests.
-  double tol = 1e-9;
-  /// Iteration cap; exceeded => solver switches to Bland's rule, and a
-  /// second cap aborts (reported as time limit).
-  int max_iterations = 100000;
-  /// Hard cap on tableau cells to protect against accidentally huge dense
-  /// instances; exceeding it returns kTimeLimit so callers fall back to
-  /// propagation bounds.
-  size_t max_tableau_cells = 64ull * 1024 * 1024;
-  /// Pivots between refactorizations of the incremental engine (drift
-  /// control; each refactorization rebuilds the tableau from the basis).
-  int refactor_interval = 4096;
-};
 
 /// Solves the *continuous relaxation* of `lp` (integrality flags ignored).
 /// Maximizes when sense == kMaximize. On kOptimal, `values` holds one
 /// optimal vertex in original variable space.
-LpSolution SolveLpRelaxation(const LinearProgram& lp, Sense sense,
-                             const SimplexOptions& options = {});
+LpSolution SolveLpRelaxation(const LinearProgram& lp, Sense sense);
 
 /// Status of one column (structural variable or row slack) in a
 /// bounded-variable basis.
@@ -85,15 +70,14 @@ struct IncrementalLpStats {
 /// construction except for AddCutRow.
 class IncrementalLp {
  public:
-  explicit IncrementalLp(const LinearProgram& lp,
-                         const SimplexOptions& options = {});
+  explicit IncrementalLp(const LinearProgram& lp);
 
   IncrementalLp(const IncrementalLp&) = delete;
   IncrementalLp& operator=(const IncrementalLp&) = delete;
 
   /// True when `lp` fits this engine: every variable bound finite and the
-  /// dense tableau within `options.max_tableau_cells`.
-  static bool Suitable(const LinearProgram& lp, const SimplexOptions& options);
+  /// dense tableau within the engine's cell cap.
+  static bool Suitable(const LinearProgram& lp);
 
   /// Re-solves under the given bounds (indexed by VarId), warm-starting
   /// from the current basis. The first call cold-starts from the all-slack
@@ -143,7 +127,6 @@ class IncrementalLp {
   void Pivot(size_t row, size_t enter_col, double ratio);
 
   const LinearProgram& lp_;
-  const SimplexOptions opt_;
   size_t num_vars_;       // structural columns
   size_t num_base_rows_;  // rows of the original program
   size_t num_rows_;       // base rows + cut rows

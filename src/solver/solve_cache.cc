@@ -1,7 +1,5 @@
 #include "solver/solve_cache.h"
 
-#include <algorithm>
-
 namespace licm::solver {
 
 bool ComponentCache::Lookup(const CanonicalForm& form, Entry* out) {
@@ -76,78 +74,6 @@ void ComponentCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   index_.clear();
   lru_.clear();
-}
-
-namespace {
-
-// Rewrites a cut's variable ids through `map` (identity-sized lookup
-// table); terms are re-sorted so equal cuts serialize equally.
-std::vector<Row> TranslateCuts(const std::vector<Row>& cuts,
-                               const std::vector<VarId>& map) {
-  std::vector<Row> out;
-  out.reserve(cuts.size());
-  for (const Row& c : cuts) {
-    Row t = c;
-    bool ok = true;
-    for (Term& term : t.terms) {
-      if (term.var >= map.size()) {
-        ok = false;
-        break;
-      }
-      term.var = map[term.var];
-    }
-    if (!ok) continue;
-    std::sort(t.terms.begin(), t.terms.end(),
-              [](const Term& a, const Term& b) { return a.var < b.var; });
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
-std::vector<VarId> InverseMap(const std::vector<VarId>& canon_to_input) {
-  std::vector<VarId> inv(canon_to_input.size(), 0);
-  for (VarId pos = 0; pos < canon_to_input.size(); ++pos)
-    inv[canon_to_input[pos]] = pos;
-  return inv;
-}
-
-}  // namespace
-
-std::vector<Row> CutPool::Fetch(const CanonicalForm& form) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(std::string_view(form.key));
-  if (it == index_.end()) return {};
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++hits_;
-  return TranslateCuts(it->second->cuts, form.canon_to_input);
-}
-
-void CutPool::Store(const CanonicalForm& form, const std::vector<Row>& cuts) {
-  std::vector<Row> canonical =
-      TranslateCuts(cuts, InverseMap(form.canon_to_input));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(std::string_view(form.key));
-  if (it != index_.end()) {
-    it->second->cuts = std::move(canonical);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  while (lru_.size() >= capacity_) {
-    index_.erase(std::string_view(lru_.back().key));
-    lru_.pop_back();
-  }
-  lru_.push_front(Node{form.key, std::move(canonical)});
-  index_.emplace(std::string_view(lru_.front().key), lru_.begin());
-}
-
-size_t CutPool::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
-int64_t CutPool::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
 }
 
 bool IncumbentPool::Fetch(const CanonicalForm& form, std::vector<double>* x) {

@@ -940,25 +940,8 @@ Result<solver::LinearProgram> BuildCaseLp(const FuzzCase& c) {
   }
   // Identity prune: every pool variable and every constraint stays, the
   // same program ComputeBounds builds with options.prune == false.
-  solver::LinearProgram lp;
-  for (uint32_t v = 0; v < db.pool().size(); ++v) lp.AddBinary();
-  for (const LinearConstraint& lc : db.constraints().constraints()) {
-    solver::Row row;
-    row.terms.reserve(lc.terms.size());
-    for (const auto& t : lc.terms) {
-      row.terms.push_back({t.var, static_cast<double>(t.coef)});
-    }
-    switch (lc.op) {
-      case ConstraintOp::kLe: row.op = solver::RowOp::kLe; break;
-      case ConstraintOp::kGe: row.op = solver::RowOp::kGe; break;
-      case ConstraintOp::kEq: row.op = solver::RowOp::kEq; break;
-    }
-    row.rhs = static_cast<double>(lc.rhs);
-    lp.AddRow(std::move(row));
-  }
-  for (const auto& [v, coef] : obj.coefs) lp.SetObjectiveCoef(v, coef);
-  lp.AddObjectiveConstant(obj.constant);
-  return lp;
+  const PruneResult all = KeepAll(db.constraints(), db.pool().size());
+  return BuildProgram(db.constraints(), all.rows, all.live, {}, &obj);
 }
 
 }  // namespace licm::testing

@@ -400,7 +400,8 @@ TEST(Prune, DropsUnreachableGroups) {
   PruneResult pr = Prune(cs, {6}, 7);
   EXPECT_EQ(pr.stats.vars_after, 4u);  // 6, 0, 1, 2 (via cardinality rows)
   EXPECT_EQ(pr.stats.constraints_after, 5u);
-  EXPECT_FALSE(pr.live.contains(3));
+  EXPECT_EQ(pr.live, (std::vector<BVar>{0, 1, 2, 6}));
+  EXPECT_EQ(pr.rows, (std::vector<uint32_t>{0, 1, 4, 5, 6}));
 }
 
 TEST(Prune, ReachesAcrossInterleavedConstraints) {
@@ -415,6 +416,33 @@ TEST(Prune, ReachesAcrossInterleavedConstraints) {
   PruneResult pr = Prune(cs, {0}, 4);
   EXPECT_EQ(pr.stats.vars_after, 4u);
   EXPECT_EQ(pr.stats.constraints_after, cs.size());
+}
+
+TEST(Prune, KeepsRowlessSeedAndOriginalRowOrder) {
+  // Two components whose rows interleave — A = {0,1,2} owns rows 0, 2, 4
+  // and B = {3,4,6} owns rows 1, 3 — plus a constant row and variable 5,
+  // which appears in no row.
+  ConstraintSet cs;
+  cs.AddMutualExclusion(0, 1);  // row 0: A
+  cs.AddMutualExclusion(3, 4);  // row 1: B
+  cs.AddMutualExclusion(1, 2);  // row 2: A
+  cs.AddMutualExclusion(4, 6);  // row 3: B
+  cs.AddMutualExclusion(2, 0);  // row 4: A
+  cs.Add(LinearConstraint{{}, ConstraintOp::kLe, 0});  // row 5: constant
+
+  PruneResult b = Prune(cs, {6, 5}, 7);
+  EXPECT_EQ(b.rows, (std::vector<uint32_t>{1, 3}));
+  EXPECT_EQ(b.live, (std::vector<BVar>{3, 4, 5, 6}));
+  EXPECT_EQ(b.stats.vars_after, 4u);
+  EXPECT_EQ(b.stats.constraints_after, 2u);
+
+  PruneResult a = Prune(cs, {5, 2}, 7);
+  EXPECT_EQ(a.rows, (std::vector<uint32_t>{0, 2, 4}));
+  EXPECT_EQ(a.live, (std::vector<BVar>{0, 1, 2, 5}));
+
+  PruneResult lone = Prune(cs, {5}, 7);
+  EXPECT_TRUE(lone.rows.empty());
+  EXPECT_EQ(lone.live, (std::vector<BVar>{5}));
 }
 
 TEST(Prune, BoundsIdenticalWithAndWithoutPruning) {
@@ -451,6 +479,45 @@ TEST(Aggregate, InfeasibleConstraintsReported) {
   auto ans = AnswerAggregate(*rel::CountStar(rel::Scan("r")), db);
   ASSERT_FALSE(ans.ok());
   EXPECT_EQ(ans.status().code(), StatusCode::kInfeasible);
+}
+
+TEST(Aggregate, InfeasibleUnqueriedComponentReported) {
+  // The queried relation's own component is satisfiable; the only
+  // contradiction sits in a component sharing no variable with it, which
+  // pruning drops. COUNT and SUM must still see it through the pruned-
+  // remainder check, and MAX through the prober's base check.
+  LicmDatabase db;
+  LicmRelation r(TransItemSchema());
+  const BVar b0 = db.pool().New();
+  const BVar b1 = db.pool().New();
+  r.AppendUnchecked({int64_t{3}, std::string("a")}, Ext::Maybe(b0));
+  r.AppendUnchecked({int64_t{5}, std::string("b")}, Ext::Maybe(b1));
+  db.constraints().AddCardinality({b0, b1}, 1, 2);
+  // c0 + c1 >= 2 and c0 + c1 + c2 <= 1: no world. The greedy witness sets
+  // c0 = c1 = 1 and fails the second row, so the exact solve decides.
+  const BVar c0 = db.pool().New();
+  const BVar c1 = db.pool().New();
+  const BVar c2 = db.pool().New();
+  db.constraints().Add(
+      LinearConstraint{{{c0, 1}, {c1, 1}}, ConstraintOp::kGe, 2});
+  db.constraints().Add(LinearConstraint{{{c0, 1}, {c1, 1}, {c2, 1}},
+                                        ConstraintOp::kLe, 1});
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+
+  for (const rel::QueryNodePtr& q :
+       {rel::CountStar(rel::Scan("r")), rel::Sum(rel::Scan("r"), "tid"),
+        rel::Max(rel::Scan("r"), "tid")}) {
+    auto ans = AnswerAggregate(*q, db);
+    ASSERT_FALSE(ans.ok()) << q->ToString();
+    EXPECT_EQ(ans.status().code(), StatusCode::kInfeasible) << q->ToString();
+  }
+
+  // Without the contradiction every query answers.
+  db.constraints().Replace(db.constraints().size() - 1,
+                           LinearConstraint{{{c0, 1}, {c1, 1}, {c2, 1}},
+                                            ConstraintOp::kLe, 2});
+  EXPECT_TRUE(AnswerAggregate(*rel::CountStar(rel::Scan("r")), db).ok());
+  EXPECT_TRUE(AnswerAggregate(*rel::Max(rel::Scan("r"), "tid"), db).ok());
 }
 
 TEST(Aggregate, EmptyRelationGivesZeroBounds) {

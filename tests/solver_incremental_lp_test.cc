@@ -50,7 +50,7 @@ class IncrementalLpRandom : public ::testing::TestWithParam<int> {};
 TEST_P(IncrementalLpRandom, ColdSolveMatchesPrimalSimplex) {
   int n = 0;
   LinearProgram lp = RandomBoxLp(static_cast<uint64_t>(GetParam()), &n);
-  ASSERT_TRUE(IncrementalLp::Suitable(lp, SimplexOptions{}));
+  ASSERT_TRUE(IncrementalLp::Suitable(lp));
   LpSolution ref = SolveLpRelaxation(lp, Sense::kMaximize);
   IncrementalLp inc(lp);
   std::vector<double> lo(n, 0.0), hi(n, 1.0);
@@ -264,8 +264,7 @@ TEST_P(CutValidity, CutsValidForAllIntegerPoints) {
   for (int v = 0; v < n; ++v) {
     x[v] = 0.1 * static_cast<double>(rng.Uniform(11));
   }
-  CutOptions copt;
-  std::vector<Row> cuts = GenerateCardinalityCuts(lp, x, copt);
+  std::vector<Row> cuts = GenerateCardinalityCuts(lp, x);
   for (const Row& cut : cuts) {
     EXPECT_FALSE(RowSatisfied(cut, x))
         << "separated cut must be violated at the fractional point";
@@ -293,9 +292,7 @@ TEST(Cuts, SeparatesCoverFromFractionalKnapsack) {
     heavy.push_back(Term{v, 2.0});
   }
   lp.AddRow(Row{heavy, RowOp::kLe, 3});
-  CutOptions copt;
-  std::vector<Row> cuts =
-      GenerateCardinalityCuts(lp, {0.5, 0.5, 0.5}, copt);
+  std::vector<Row> cuts = GenerateCardinalityCuts(lp, {0.5, 0.5, 0.5});
   ASSERT_FALSE(cuts.empty());
   bool found = false;
   for (const Row& cut : cuts) {

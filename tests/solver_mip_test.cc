@@ -171,6 +171,61 @@ TEST(Decompose, SplitsIndependentBlocks) {
   (void)lone;
 }
 
+// ---- Union-find ----
+
+TEST(UnionFind, FindGrowsTheNodeSet) {
+  UnionFind uf;
+  EXPECT_EQ(uf.num_nodes(), 0u);
+  EXPECT_EQ(uf.Find(4), 4u);  // grown in as a singleton
+  EXPECT_EQ(uf.num_nodes(), 5u);
+  EXPECT_EQ(uf.NumComponents(), 5u);
+  uf.Union(1, 7);  // Union grows both ends too
+  EXPECT_EQ(uf.num_nodes(), 8u);
+  EXPECT_EQ(uf.Find(1), uf.Find(7));
+  EXPECT_EQ(uf.NumComponents(), 7u);
+}
+
+TEST(UnionFind, EnsureNodesAddsSingletonsAndKeepsEdges) {
+  UnionFind uf(3);
+  uf.Union(0, 2);
+  uf.EnsureNodes(2);  // shrinking is a no-op
+  EXPECT_EQ(uf.num_nodes(), 3u);
+  uf.EnsureNodes(6);
+  EXPECT_EQ(uf.num_nodes(), 6u);
+  EXPECT_EQ(uf.Find(0), uf.Find(2));
+  for (uint32_t v = 3; v < 6; ++v) EXPECT_EQ(uf.Find(v), v);
+  EXPECT_EQ(uf.NumComponents(), 5u);  // {0,2} {1} {3} {4} {5}
+  uf.Reset(2);
+  EXPECT_EQ(uf.num_nodes(), 2u);
+  EXPECT_NE(uf.Find(0), uf.Find(1));
+}
+
+TEST(UnionFind, UnionAllMergesHyperedges) {
+  UnionFind uf(10);
+  uf.UnionAll({0, 3, 6});
+  uf.UnionAll({1, 4});
+  uf.UnionAll({8});  // a one-node hyperedge merges nothing
+  uf.UnionAll({});
+  EXPECT_EQ(uf.NumComponents(), 7u);  // {0,3,6} {1,4} 2 5 7 8 9
+  EXPECT_EQ(uf.Component(6), (std::vector<uint32_t>{0, 3, 6}));
+  EXPECT_EQ(uf.Component(1), (std::vector<uint32_t>{1, 4}));
+  EXPECT_EQ(uf.Component(9), (std::vector<uint32_t>{9}));
+  uf.UnionAll({4, 6});  // bridges the two hyperedges
+  EXPECT_EQ(uf.NumComponents(), 6u);
+  EXPECT_EQ(uf.Component(0), (std::vector<uint32_t>{0, 1, 3, 4, 6}));
+  EXPECT_EQ(uf.Find(0), uf.Find(4));
+}
+
+TEST(UnionFind, LongChainStaysOneComponent) {
+  // Union by size keeps the trees shallow; path compression flattens them.
+  UnionFind uf(2000);
+  for (uint32_t v = 1; v < 2000; ++v) uf.Union(v - 1, v);
+  EXPECT_EQ(uf.NumComponents(), 1u);
+  EXPECT_EQ(uf.Component(1234).size(), 2000u);
+  const uint32_t root = uf.Find(0);
+  for (uint32_t v = 0; v < 2000; v += 97) EXPECT_EQ(uf.Find(v), root);
+}
+
 // ---- MIP end-to-end ----
 
 TEST(Mip, CardinalityBlockBounds) {

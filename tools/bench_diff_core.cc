@@ -55,7 +55,7 @@ const std::unordered_set<std::string>& CounterSet() {
 const std::unordered_set<std::string>& RateSet() {
   static const std::unordered_set<std::string> kSet = {
       "rows_per_s", "throughput_rps", "achieved_rps", "speedup",
-      "query_speedup", "cache_hit_rate", "cache_hits", "cuts_reused",
+      "query_speedup", "cache_hit_rate", "cache_hits",
   };
   return kSet;
 }
