@@ -76,7 +76,19 @@ Result<AggregateBounds> ComputeBounds(const Objective& objective,
         dropped.push_back(k);
       }
     }
-    switch (CheckFeasible(constraints, dropped, {}, options.mip)) {
+    // The span shows which answers still pay a solve: `solved` is 1 only
+    // when neither witness settled the remainder. Every solve runs
+    // decomposition, or stops in presolve, so its stats count the call.
+    telemetry::ScopedSpan remainder_span("licm", "remainder");
+    solver::MipStats remainder_stats;
+    const Feasibility remainder =
+        CheckFeasible(constraints, dropped, {}, options.mip, &remainder_stats);
+    remainder_span.AddArg("rows", static_cast<double>(dropped.size()));
+    const bool solved =
+        remainder_stats.presolve_calls + remainder_stats.decompose_calls > 0;
+    remainder_span.AddArg("solved", solved ? 1.0 : 0.0);
+    remainder_span.End();
+    switch (remainder) {
       case Feasibility::kInfeasible:
         return Status::Infeasible(
             "LICM constraint set admits no possible world");

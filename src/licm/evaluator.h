@@ -50,6 +50,8 @@ struct AggregateAnswer {
 /// pipeline, formulates the BIP, and computes exact (or time-limited)
 /// lower/upper bounds. `db` is taken by value: evaluation appends derived
 /// variables and constraints that the caller's database should not keep.
+/// The copy shares the caller's relations (LicmDatabase copies share them),
+/// so it costs the variable pool and the constraint set, not the tuples.
 Result<AggregateAnswer> AnswerAggregate(const rel::QueryNode& query,
                                         LicmDatabase db,
                                         const AnswerOptions& options = {});

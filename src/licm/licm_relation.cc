@@ -41,7 +41,8 @@ std::string LicmRelation::ToString(size_t max_rows) const {
 }
 
 Status LicmDatabase::AddRelation(std::string name, LicmRelation r) {
-  auto [it, inserted] = relations_.emplace(std::move(name), std::move(r));
+  auto [it, inserted] = relations_.emplace(
+      std::move(name), std::make_shared<LicmRelation>(std::move(r)));
   if (!inserted) {
     return Status::AlreadyExists("LICM relation '" + it->first +
                                  "' already registered");
@@ -55,7 +56,7 @@ Result<const LicmRelation*> LicmDatabase::GetRelation(
   if (it == relations_.end()) {
     return Status::NotFound("no LICM relation '" + name + "'");
   }
-  return &it->second;
+  return it->second.get();
 }
 
 Result<LicmRelation*> LicmDatabase::GetMutableRelation(
@@ -64,14 +65,16 @@ Result<LicmRelation*> LicmDatabase::GetMutableRelation(
   if (it == relations_.end()) {
     return Status::NotFound("no LICM relation '" + name + "'");
   }
-  return &it->second;
+  std::shared_ptr<LicmRelation>& r = it->second;
+  if (r.use_count() > 1) r = std::make_shared<LicmRelation>(*r);
+  return r.get();
 }
 
 rel::Database LicmDatabase::Instantiate(
     const std::vector<uint8_t>& assignment) const {
   rel::Database db;
   for (const auto& [name, r] : relations_) {
-    LICM_CHECK_OK(db.Add(name, r.Instantiate(assignment)));
+    LICM_CHECK_OK(db.Add(name, r->Instantiate(assignment)));
   }
   return db;
 }

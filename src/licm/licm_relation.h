@@ -7,6 +7,7 @@
 #ifndef LICM_LICM_LICM_RELATION_H_
 #define LICM_LICM_LICM_RELATION_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -100,12 +101,21 @@ class LicmRelation {
 
 /// An LICM database D = (R, C): named relations, the variable pool B and
 /// the constraint set C (Definition 3).
+///
+/// Copies share relations: each relation sits behind a shared pointer, so
+/// copying a database copies the pool, the constraint set and one pointer
+/// per relation. Query evaluation only ever grows the pool and the
+/// constraint set, so a per-answer copy costs what those hold, not the
+/// base tuples.
 class LicmDatabase {
  public:
   Status AddRelation(std::string name, LicmRelation r);
   Result<const LicmRelation*> GetRelation(const std::string& name) const;
   /// Mutable lookup for the mutation layer (licm/mutable_instance.h);
-  /// query evaluation only ever uses the const accessor.
+  /// query evaluation only ever uses the const accessor. Copy-on-write: a
+  /// relation still shared with another database copy is cloned first, so
+  /// the other copies keep their tuples. The pointer stays valid, and
+  /// private to this database, until the database is copied.
   Result<LicmRelation*> GetMutableRelation(const std::string& name);
 
   VariablePool& pool() { return pool_; }
@@ -113,17 +123,13 @@ class LicmDatabase {
   ConstraintSet& constraints() { return constraints_; }
   const ConstraintSet& constraints() const { return constraints_; }
 
-  const std::unordered_map<std::string, LicmRelation>& relations() const {
-    return relations_;
-  }
-
   /// Instantiates every relation in the world selected by `assignment`;
   /// the assignment must be valid (satisfy all constraints) for the result
   /// to be a possible world.
   rel::Database Instantiate(const std::vector<uint8_t>& assignment) const;
 
  private:
-  std::unordered_map<std::string, LicmRelation> relations_;
+  std::unordered_map<std::string, std::shared_ptr<LicmRelation>> relations_;
   VariablePool pool_;
   ConstraintSet constraints_;
 };

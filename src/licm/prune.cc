@@ -1,5 +1,6 @@
 #include "licm/prune.h"
 
+#include <algorithm>
 #include <limits>
 #include <numeric>
 
@@ -18,28 +19,63 @@ solver::RowOp ToRowOp(ConstraintOp op) {
   return solver::RowOp::kEq;
 }
 
-// A row without terms reads 0 op rhs.
-bool ConstantRowHolds(const LinearConstraint& c) {
-  return c.op == ConstraintOp::kLe   ? 0 <= c.rhs
-         : c.op == ConstraintOp::kGe ? 0 >= c.rhs
-                                     : c.rhs == 0;
+// Does `lhs op rhs` hold?
+bool Holds(ConstraintOp op, int64_t lhs, int64_t rhs) {
+  return op == ConstraintOp::kLe   ? lhs <= rhs
+         : op == ConstraintOp::kGe ? lhs >= rhs
+                                   : lhs == rhs;
 }
 
-// Variables the selected rows name, ascending. A dense mark vector keeps
+// The rows a feasibility check covers: the selected rows of the
+// constraint set, then the extra rows. Both witnesses read them in place,
+// so the program is built only when a solve has to settle the question.
+class CheckedRows {
+ public:
+  CheckedRows(const ConstraintSet& constraints,
+              const std::vector<uint32_t>& rows,
+              const std::vector<LinearConstraint>& extras)
+      : constraints_(constraints), rows_(rows), extras_(extras) {}
+
+  size_t size() const { return rows_.size() + extras_.size(); }
+  const LinearConstraint& operator[](size_t i) const {
+    return i < rows_.size() ? constraints_.constraints()[rows_[i]]
+                            : extras_[i - rows_.size()];
+  }
+
+  // One past the largest variable any row names.
+  size_t VarLimit() const {
+    size_t limit = 0;
+    for (size_t i = 0; i < size(); ++i) {
+      for (const auto& t : (*this)[i].terms) {
+        limit = std::max<size_t>(limit, t.var + 1);
+      }
+    }
+    return limit;
+  }
+
+  // Does the 0/1 assignment `x` satisfy every row? Exact: integer
+  // coefficients, int64 activities.
+  bool AllHold(const std::vector<uint8_t>& x) const {
+    for (size_t i = 0; i < size(); ++i) {
+      if (!(*this)[i].Satisfied(x)) return false;
+    }
+    return true;
+  }
+
+ private:
+  const ConstraintSet& constraints_;
+  const std::vector<uint32_t>& rows_;
+  const std::vector<LinearConstraint>& extras_;
+};
+
+// Variables the checked rows name, ascending. A dense mark vector keeps
 // this linear: ids are contiguous, and sorting the terms of a large
 // remainder would cost more than building its program.
-std::vector<BVar> RowVars(const ConstraintSet& constraints,
-                          const std::vector<uint32_t>& rows,
-                          const std::vector<LinearConstraint>& extras) {
-  std::vector<uint8_t> seen;
-  auto mark = [&](const LinearConstraint& c) {
-    for (const auto& t : c.terms) {
-      if (t.var >= seen.size()) seen.resize(t.var + 1, 0);
-      seen[t.var] = 1;
-    }
-  };
-  for (uint32_t k : rows) mark(constraints.constraints()[k]);
-  for (const LinearConstraint& c : extras) mark(c);
+std::vector<BVar> RowVars(const CheckedRows& rows, size_t var_limit) {
+  std::vector<uint8_t> seen(var_limit, 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (const auto& t : rows[i].terms) seen[t.var] = 1;
+  }
   std::vector<BVar> vars;
   for (BVar v = 0; v < seen.size(); ++v) {
     if (seen[v]) vars.push_back(v);
@@ -47,37 +83,101 @@ std::vector<BVar> RowVars(const ConstraintSet& constraints,
   return vars;
 }
 
-// Witness fast path: LICM constraint sets are overwhelmingly disjoint
+// Greedy witness: LICM constraint sets are overwhelmingly disjoint
 // cardinality blocks ("between lo and hi of this group set"), where
 // raising the minimum number of variables per >=/== row yields a possible
-// world. Build that assignment greedily, then verify it against EVERY row
-// exactly — all quantities are small integers, so the checks are exact and
-// a verified witness proves feasibility outright, skipping the solver
-// (whose canonicalization pass dominates on monolithic-component
-// workloads). A failed verification proves nothing either way.
-bool GreedyWitnessHolds(const solver::LinearProgram& lp) {
-  std::vector<uint8_t> x(lp.num_vars(), 0);
-  for (const solver::Row& row : lp.rows()) {
-    if (row.op == solver::RowOp::kLe) continue;
-    double act = 0.0;
-    for (const auto& t : row.terms) act += t.coef * x[t.var];
-    for (const auto& t : row.terms) {
-      if (act >= row.rhs) break;
+// world. Each >=/== row, in order, raises its positive-coefficient
+// variables in ascending variable order (duplicate terms merged) until it
+// holds. A failed verification proves nothing either way.
+bool GreedyWitnessHolds(const CheckedRows& rows, size_t var_limit) {
+  std::vector<uint8_t> x(var_limit, 0);
+  std::vector<LinearConstraint::Term> merged;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const LinearConstraint& c = rows[i];
+    if (c.op == ConstraintOp::kLe) continue;
+    // Rows are almost always emitted with ascending, distinct variables;
+    // only the others need a sorted, merged copy.
+    const std::vector<LinearConstraint::Term>* terms = &c.terms;
+    if (std::adjacent_find(c.terms.begin(), c.terms.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.var >= b.var;
+                           }) != c.terms.end()) {
+      merged = c.terms;
+      std::sort(merged.begin(), merged.end(),
+                [](const auto& a, const auto& b) { return a.var < b.var; });
+      size_t out = 0;
+      for (const auto& t : merged) {
+        if (out > 0 && merged[out - 1].var == t.var) {
+          merged[out - 1].coef += t.coef;
+        } else {
+          merged[out++] = t;
+        }
+      }
+      merged.resize(out);
+      terms = &merged;
+    }
+    int64_t act = 0;
+    for (const auto& t : *terms) act += t.coef * x[t.var];
+    for (const auto& t : *terms) {
+      if (act >= c.rhs) break;
       if (t.coef > 0 && x[t.var] == 0) {
         x[t.var] = 1;
         act += t.coef;
       }
     }
   }
-  for (const solver::Row& row : lp.rows()) {
-    double act = 0.0;
-    for (const auto& t : row.terms) act += t.coef * x[t.var];
-    const bool sat = row.op == solver::RowOp::kLe   ? act <= row.rhs
-                     : row.op == solver::RowOp::kGe ? act >= row.rhs
-                                                    : act == row.rhs;
-    if (!sat) return false;
+  return rows.AllHold(x);
+}
+
+// Creation-order witness: every lineage primitive (lineage.h) makes a
+// fresh variable and emits rows in which it is the newest, defining it
+// from older ones; a cardinality block holds once its newest variable is
+// raised. So visit variables in ascending order and give each the value,
+// 0 or else 1, that satisfies every row whose largest variable it is —
+// all older variables of those rows are settled by then. Rows are
+// bucketed by their largest variable with a counting sort, so the pass is
+// O(rows + nnz). A failed verification proves nothing either way.
+bool CreationOrderWitnessHolds(const CheckedRows& rows, size_t var_limit) {
+  // start[v]..start[v + 1] indexes the rows whose largest variable is v.
+  // Constant rows hold (CheckFeasible evaluated them) and join no bucket.
+  std::vector<uint32_t> start(var_limit + 1, 0);
+  std::vector<BVar> top(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].terms.empty()) continue;
+    BVar max_var = 0;
+    for (const auto& t : rows[i].terms) max_var = std::max(max_var, t.var);
+    top[i] = max_var;
+    ++start[max_var + 1];
   }
-  return true;
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<uint32_t> by_top(start.back());
+  std::vector<uint32_t> fill(start.begin(), start.end() - 1);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!rows[i].terms.empty()) by_top[fill[top[i]]++] = i;
+  }
+
+  std::vector<uint8_t> x(var_limit, 0);
+  for (BVar v = 0; v < var_limit; ++v) {
+    bool zero_holds = true, one_holds = true;
+    for (uint32_t k = start[v]; k < start[v + 1]; ++k) {
+      const LinearConstraint& c = rows[by_top[k]];
+      int64_t rest = 0, own = 0;
+      for (const auto& t : c.terms) {
+        if (t.var == v) {
+          own += t.coef;
+        } else {
+          rest += t.coef * x[t.var];
+        }
+      }
+      zero_holds = zero_holds && Holds(c.op, rest, c.rhs);
+      one_holds = one_holds && Holds(c.op, rest + own, c.rhs);
+    }
+    if (!zero_holds) {
+      if (!one_holds) return false;
+      x[v] = 1;
+    }
+  }
+  return rows.AllHold(x);
 }
 
 }  // namespace
@@ -173,17 +273,21 @@ Feasibility CheckFeasible(const ConstraintSet& constraints,
                           const std::vector<LinearConstraint>& extras,
                           const solver::MipOptions& mip,
                           solver::MipStats* stats) {
-  for (uint32_t k : rows) {
-    const LinearConstraint& c = constraints.constraints()[k];
-    if (c.terms.empty() && !ConstantRowHolds(c)) return Feasibility::kInfeasible;
+  const CheckedRows checked(constraints, rows, extras);
+  for (size_t i = 0; i < checked.size(); ++i) {
+    const LinearConstraint& c = checked[i];
+    if (c.terms.empty() && !Holds(c.op, 0, c.rhs)) {
+      return Feasibility::kInfeasible;
+    }
   }
-  for (const LinearConstraint& c : extras) {
-    if (c.terms.empty() && !ConstantRowHolds(c)) return Feasibility::kInfeasible;
+  const size_t var_limit = checked.VarLimit();
+  if (GreedyWitnessHolds(checked, var_limit) ||
+      CreationOrderWitnessHolds(checked, var_limit)) {
+    return Feasibility::kFeasible;
   }
-  const solver::LinearProgram lp = BuildProgram(
-      constraints, rows, RowVars(constraints, rows, extras), extras);
-  if (GreedyWitnessHolds(lp)) return Feasibility::kFeasible;
 
+  const solver::LinearProgram lp = BuildProgram(
+      constraints, rows, RowVars(checked, var_limit), extras);
   const solver::MipResult r =
       solver::MipSolver(mip).Solve(lp, solver::Sense::kMaximize);
   if (stats != nullptr) *stats = r.stats;

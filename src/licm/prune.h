@@ -14,7 +14,10 @@
 // remainder is satisfiable. ComputeBounds checks exactly that with
 // CheckFeasible below, the consistency check of Flesca et al.; the MIN/MAX
 // feasibility probes run the same check on the components their extra rows
-// touch.
+// touch. The check leans on the same sequential variable creation the
+// paper's pruning pass does: lineage rows define each fresh variable from
+// older ones, so a pass over the variables in creation order usually
+// builds a world outright, and only the sets it cannot settle are solved.
 #ifndef LICM_LICM_PRUNE_H_
 #define LICM_LICM_PRUNE_H_
 
@@ -78,11 +81,18 @@ solver::LinearProgram BuildProgram(
 enum class Feasibility { kFeasible, kInfeasible, kUnknown };
 
 /// Does some 0/1 assignment satisfy rows `rows` of `constraints` together
-/// with `extras`? Constant rows are evaluated directly; then a greedy
-/// witness is tried and verified against every row; only when it fails
-/// does a zero-objective solve under `mip` settle the question (kUnknown
-/// when that solve hits a limit). `*stats`, when given, receives the
-/// solve's statistics and is left untouched when no solve ran.
+/// with `extras`? In order, stopping at the first that settles it:
+///  1. constant rows are evaluated directly (one that fails: kInfeasible);
+///  2. the greedy witness: each >=/== row raises its lowest positive
+///     variables until it holds;
+///  3. the creation-order witness: variables in ascending order each take
+///     0, or else 1, to satisfy the rows whose largest variable they are;
+///  4. a zero-objective solve under `mip` of the program BuildProgram makes
+///     from the rows (kUnknown when that solve hits a limit).
+/// Each witness reads the rows in place and is verified exactly against
+/// every row, so a verified one proves kFeasible and a failed one proves
+/// nothing. `*stats`, when given, receives the solve's statistics and is
+/// left untouched when no solve ran.
 Feasibility CheckFeasible(const ConstraintSet& constraints,
                           const std::vector<uint32_t>& rows,
                           const std::vector<LinearConstraint>& extras,

@@ -453,7 +453,8 @@ Result<QueryResponse> QueryService::Process(const Pending& pending,
   StopWatch solve_watch;
   // AnswerAggregate takes the database by value: each request evaluates
   // against its own copy, so concurrent requests never share the mutable
-  // variable pool / constraint set the operators append to.
+  // variable pool / constraint set the operators append to. The copy
+  // shares the snapshot's relations, which evaluation only reads.
   auto answer = AnswerAggregate(*request.query, snap.db, options);
   response.solve_ms = solve_watch.ElapsedMs();
   solve_span.End();

@@ -1,7 +1,9 @@
 #include "testing/invariants.h"
 
+#include <algorithm>
 #include <cmath>
 #include <condition_variable>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 
@@ -317,6 +319,61 @@ InvariantReport CheckLpRoundTrip(const CaseContext& ctx) {
       return Fail(name, std::string(sname) + ": objective " +
                             Num(orig.objective) + " != round-tripped " +
                             Num(rt.objective + lp->objective_constant()));
+    }
+  }
+  return Pass(name);
+}
+
+InvariantReport CheckWitness(const CaseContext& ctx) {
+  const char* name = "witness";
+  // CheckFeasible settles most row sets with a verified witness and solves
+  // only the rest. Its verdict must equal a direct solve of the same rows,
+  // on the evaluated instance (base rows plus the query's lineage rows):
+  // once over every row, once over the remainder pruning drops.
+  LicmDatabase db = ctx.c->db;
+  auto body = EvaluateLicm(*ctx.c->query->left, &db);
+  if (!body.ok()) return Skip(name, "evaluate: " + body.status().ToString());
+  OpContext op{&db.pool(), &db.constraints()};
+  auto result = MergeDuplicates(*body, op);
+  if (!result.ok()) return Skip(name, "merge: " + result.status().ToString());
+  std::vector<BVar> seeds;
+  for (const Ext& e : result->exts()) {
+    if (!e.certain()) seeds.push_back(e.var());
+  }
+
+  const ConstraintSet& cs = db.constraints();
+  const PruneResult all = KeepAll(cs, db.pool().size());
+  const PruneResult kept = Prune(cs, seeds, db.pool().size());
+  std::vector<uint32_t> dropped;
+  std::set_difference(all.rows.begin(), all.rows.end(), kept.rows.begin(),
+                      kept.rows.end(), std::back_inserter(dropped));
+
+  solver::MipOptions mip;
+  mip.num_threads = 1;
+  const solver::MipSolver solver(mip);
+  for (const auto& [label, rows] :
+       {std::pair<const char*, const std::vector<uint32_t>&>{"all rows",
+                                                             all.rows},
+        {"pruned remainder", dropped}}) {
+    const solver::MipResult direct = solver.Solve(
+        BuildProgram(cs, rows, all.live), solver::Sense::kMaximize);
+    if (direct.status == solver::SolveStatus::kTimeLimit) {
+      return Skip(name, std::string(label) + ": direct solve hit a limit");
+    }
+    const Feasibility checked = CheckFeasible(cs, rows, {}, mip);
+    if (checked == Feasibility::kUnknown) {
+      return Skip(name, std::string(label) + ": check hit a limit");
+    }
+    const bool direct_feasible =
+        direct.status == solver::SolveStatus::kOptimal;
+    if ((checked == Feasibility::kFeasible) != direct_feasible) {
+      return Fail(name, std::string(label) + ": CheckFeasible says " +
+                            (checked == Feasibility::kFeasible
+                                 ? "feasible"
+                                 : "infeasible") +
+                            ", a direct solve of " +
+                            std::to_string(rows.size()) + " rows says " +
+                            (direct_feasible ? "feasible" : "infeasible"));
     }
   }
   return Pass(name);
@@ -903,6 +960,9 @@ const std::vector<Invariant>& AllInvariants() {
                       "instance's warm answer is bit-identical to a "
                       "from-scratch rebuild",
        CheckIncremental},
+      {"witness", "CheckFeasible's verdict on all rows and on the pruned "
+                  "remainder equals a direct solve of the same rows",
+       CheckWitness},
   };
   return kAll;
 }

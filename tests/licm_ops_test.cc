@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/telemetry.h"
 #include "licm/aggregate.h"
 #include "licm/evaluator.h"
+#include "licm/lineage.h"
 #include "licm/worlds.h"
 
 namespace licm {
@@ -20,7 +24,6 @@ rel::Schema TransItemSchema() {
       {{"tid", ValueType::kInt}, {"item", ValueType::kString}});
 }
 
-Value V(int64_t x) { return Value(x); }
 Value V(const char* s) { return Value(std::string(s)); }
 
 // Figure 2(c): transaction T1 = {Alcohol, Shampoo}; Alcohol generalizes to
@@ -558,6 +561,185 @@ TEST(Aggregate, ExtremeWorldIsValid) {
   EXPECT_TRUE(db.constraints().Satisfied(a));
   const LicmRelation& r = *db.GetRelation("trans_item").value();
   EXPECT_EQ(r.Instantiate(a).size(), 4u);
+}
+
+// Every row index of `cs`, the selection a full-set feasibility check uses.
+std::vector<uint32_t> AllRows(const ConstraintSet& cs) {
+  return KeepAll(cs, /*num_vars=*/0).rows;
+}
+
+// Stats a solve would overwrite; a check that leaves them alone ran none.
+solver::MipStats SentinelStats() {
+  solver::MipStats s;
+  s.nodes = -1;
+  s.presolve_calls = -1;
+  s.decompose_calls = -1;
+  return s;
+}
+
+bool IsSentinel(const solver::MipStats& s) {
+  return s.nodes == -1 && s.presolve_calls == -1 && s.decompose_calls == -1;
+}
+
+// A cardinality block plus lineage rows from every primitive of
+// lineage.h. The greedy witness raises block variables for the >= rows
+// (b0 for the block, b1 and b2 for EncodeLe's first row), which breaks
+// the block's upper side; the creation-order witness raises each fresh
+// variable on top of the settled older ones and finds a world.
+TEST(CheckFeasible, CreationOrderWitnessSettlesLineageRowsWithoutSolve) {
+  VariablePool pool;
+  ConstraintSet cs;
+  const OpContext ctx{&pool, &cs};
+  const std::vector<BVar> block = {pool.New(), pool.New(), pool.New()};
+  cs.AddCardinality(block, 1, 2);
+  CountGroup group;
+  for (BVar b : block) AccumulateCount(&group, Ext::Maybe(b), 1);
+  const CountCase ge = EncodeGe(group, 1, ctx);
+  const CountCase le = EncodeLe(group, 2, ctx);
+  ASSERT_EQ(ge.kind, CountCase::kVariable);
+  ASSERT_EQ(le.kind, CountCase::kVariable);
+  const Ext both = AndExt(Ext::Maybe(ge.var), Ext::Maybe(le.var), ctx);
+  GroupExt any;
+  any.vars = {both.var(), block[0]};
+  const Ext exists = GroupOrExt(any, ctx);
+  ASSERT_FALSE(exists.certain());
+  ASSERT_EQ(exists.var(), pool.size() - 1);
+
+  solver::MipStats stats = SentinelStats();
+  EXPECT_EQ(CheckFeasible(cs, AllRows(cs), {}, {}, &stats),
+            Feasibility::kFeasible);
+  EXPECT_TRUE(IsSentinel(stats)) << "a witness should have settled it";
+
+  // Extra rows join the same pass: forcing the OR output on is fine.
+  LinearConstraint on;
+  on.terms = {{exists.var(), 1}};
+  on.op = ConstraintOp::kGe;
+  on.rhs = 1;
+  EXPECT_EQ(CheckFeasible(cs, AllRows(cs), {on}, {}, &stats),
+            Feasibility::kFeasible);
+  EXPECT_TRUE(IsSentinel(stats));
+}
+
+// Exactly one per row and per column of a 3x3 grid of fresh variables (a
+// bipartite assignment): the greedy witness piles column 0, the
+// creation-order witness overfills the last row. Only a solve finds a
+// world.
+void AddExactlyOneGrid(VariablePool* pool, ConstraintSet* cs) {
+  BVar x[3][3];
+  for (auto& row : x) {
+    for (BVar& v : row) v = pool->New();
+  }
+  for (int i = 0; i < 3; ++i) {
+    cs->AddCardinality({x[i][0], x[i][1], x[i][2]}, 1, 1);
+  }
+  for (int j = 0; j < 3; ++j) {
+    cs->AddCardinality({x[0][j], x[1][j], x[2][j]}, 1, 1);
+  }
+}
+
+TEST(CheckFeasible, SolveSettlesWhatNeitherWitnessDoes) {
+  VariablePool pool;
+  ConstraintSet cs;
+  AddExactlyOneGrid(&pool, &cs);
+  solver::MipStats stats = SentinelStats();
+  EXPECT_EQ(CheckFeasible(cs, AllRows(cs), {}, {}, &stats),
+            Feasibility::kFeasible);
+  EXPECT_FALSE(IsSentinel(stats)) << "only a solve can settle this set";
+  EXPECT_GT(stats.decompose_calls, 0);
+}
+
+TEST(CheckFeasible, ContradictoryRowsAreInfeasible) {
+  VariablePool pool;
+  ConstraintSet cs;
+  const std::vector<BVar> vars = {pool.New(), pool.New()};
+  cs.AddCardinality(vars, 1, 2);
+  LinearConstraint none;
+  none.terms = {{vars[0], 1}, {vars[1], 1}};
+  none.op = ConstraintOp::kLe;
+  none.rhs = 0;
+  solver::MipStats stats = SentinelStats();
+  EXPECT_EQ(CheckFeasible(cs, AllRows(cs), {none}, {}, &stats),
+            Feasibility::kInfeasible);
+  EXPECT_FALSE(IsSentinel(stats));
+
+  // A constant row that cannot hold needs no solve at all.
+  LinearConstraint never;
+  never.op = ConstraintOp::kGe;
+  never.rhs = 1;
+  stats = SentinelStats();
+  EXPECT_EQ(CheckFeasible(cs, AllRows(cs), {never}, {}, &stats),
+            Feasibility::kInfeasible);
+  EXPECT_TRUE(IsSentinel(stats));
+}
+
+// The `remainder` span of ComputeBounds: rows checked, and solved=1 only
+// when the check had to solve (here the grid no witness settles).
+TEST(CheckFeasible, RemainderSpanRecordsWhetherItSolved) {
+  VariablePool pool;
+  ConstraintSet cs;
+  const BVar seed = pool.New();
+  AddExactlyOneGrid(&pool, &cs);
+  Objective obj;
+  obj.coefs[seed] = 1.0;
+
+  auto remainder_args = [&](double* rows, double* solved) {
+    telemetry::StartTracing();
+    auto bounds = ComputeBounds(obj, cs, pool.size());
+    telemetry::StopTracing();
+    ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
+    int spans = 0;
+    for (const telemetry::Event& e : telemetry::Snapshot()) {
+      if (std::strcmp(e.name, "remainder") != 0) continue;
+      ++spans;
+      for (const telemetry::Arg& a : e.args) {
+        if (a.key == nullptr) continue;
+        if (std::strcmp(a.key, "rows") == 0) *rows = a.value;
+        if (std::strcmp(a.key, "solved") == 0) *solved = a.value;
+      }
+    }
+    EXPECT_EQ(spans, 1);
+  };
+  double rows = -1, solved = -1;
+  remainder_args(&rows, &solved);
+  EXPECT_EQ(rows, 12.0);
+  EXPECT_EQ(solved, 1.0);
+
+  // Loosen the grid's row uppers: the greedy witness now settles it.
+  ConstraintSet loose;
+  for (const LinearConstraint& c : cs.constraints()) {
+    if (c.op != ConstraintOp::kLe) loose.Add(c);
+  }
+  cs = loose;
+  remainder_args(&rows, &solved);
+  EXPECT_EQ(rows, 6.0);
+  EXPECT_EQ(solved, 0.0);
+}
+
+TEST(LicmDatabase, CopiesShareRelations) {
+  const LicmDatabase db = Figure2c();
+  const LicmDatabase copy = db;
+  EXPECT_EQ(db.GetRelation("trans_item").value(),
+            copy.GetRelation("trans_item").value());
+}
+
+TEST(LicmDatabase, MutableRelationOfACopyLeavesTheOriginal) {
+  const LicmDatabase db = Figure2c();
+  const LicmRelation* original = db.GetRelation("trans_item").value();
+  const std::vector<rel::Tuple> before = original->tuples();
+
+  LicmDatabase copy = db;
+  LicmRelation* mine = copy.GetMutableRelation("trans_item").value();
+  EXPECT_NE(mine, original);
+  mine->RemoveAt(0);
+  mine->AppendUnchecked({int64_t{9}, std::string("soap")}, Ext::Certain());
+
+  EXPECT_EQ(db.GetRelation("trans_item").value(), original);
+  EXPECT_EQ(original->tuples(), before);
+  EXPECT_EQ(copy.GetRelation("trans_item").value(), mine);
+  EXPECT_EQ(mine->size(), before.size());
+  EXPECT_NE(mine->tuples(), before);
+  // No longer shared: a second lookup returns the same private relation.
+  EXPECT_EQ(copy.GetMutableRelation("trans_item").value(), mine);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 // version monotonicity, dirty-set locality per mutation kind, atomic
 // validation (failed mutations commit nothing), MVCC snapshot isolation,
 // and cross-version reuse of the instance-owned component cache.
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -301,6 +303,72 @@ TEST(MutableInstance, CrossVersionCacheServesUntouchedComponents) {
   EXPECT_EQ(scratch->bounds.max.value, warm->bounds.max.value);
   EXPECT_EQ(scratch->bounds.min.exact, warm->bounds.min.exact);
   EXPECT_EQ(scratch->bounds.max.exact, warm->bounds.max.exact);
+}
+
+TEST(MutableInstance, CommitsLeaveHeldSnapshotRelationsAlone) {
+  LicmDatabase db = MakeTwoComponentDb();
+  LicmRelation other(rel::Schema({{"id", rel::ValueType::kInt}}));
+  other.AppendUnchecked({int64_t{7}}, Ext::Certain());
+  ASSERT_TRUE(db.AddRelation("u", std::move(other)).ok());
+  MutableInstance inst(std::move(db));
+
+  std::shared_ptr<const MutableInstance::Snapshot> old = inst.snapshot();
+  const LicmRelation* old_t = old->db.GetRelation("t").value();
+  const std::vector<rel::Tuple> tuples = old_t->tuples();
+  const std::vector<Ext> exts = old_t->exts();
+
+  ASSERT_TRUE(
+      inst.AppendTuples("t", {{Row(9, "z"), true, std::nullopt}}).ok());
+  std::shared_ptr<const MutableInstance::Snapshot> mid = inst.snapshot();
+  ASSERT_TRUE(inst.RetractTuples("t", {Row(2, "b")}).ok());
+
+  // Every commit wrote a private copy of "t"; the held versions kept
+  // theirs.
+  EXPECT_EQ(old->db.GetRelation("t").value(), old_t);
+  EXPECT_EQ(old_t->tuples(), tuples);
+  EXPECT_EQ(old_t->exts(), exts);
+  EXPECT_EQ(6u, mid->db.GetRelation("t").value()->size());
+  EXPECT_EQ(5u, RelationSize(inst));
+  // The relation no commit touched is one object across all versions.
+  EXPECT_EQ(old->db.GetRelation("u").value(),
+            inst.snapshot()->db.GetRelation("u").value());
+}
+
+TEST(MutableInstance, QueriesOnAHeldSnapshotRaceCommits) {
+  MutableInstance inst(MakeTwoComponentDb());
+  const rel::QueryNodePtr query = rel::CountStar(rel::Scan("t"));
+  std::shared_ptr<const MutableInstance::Snapshot> held = inst.snapshot();
+  auto baseline = AnswerAggregate(*query, held->db, {});
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> answers{0}, mismatches{0};
+  std::thread reader([&] {
+    while (!done.load() || answers.load() < 3) {
+      auto a = AnswerAggregate(*query, held->db, {});
+      if (!a.ok() || a->bounds.min.value != baseline->bounds.min.value ||
+          a->bounds.max.value != baseline->bounds.max.value) {
+        ++mismatches;
+      }
+      ++answers;
+    }
+  });
+  // Each commit copies the current snapshot while the reader copies the
+  // held one: both share "t" until the commit clones it.
+  bool committed = true;
+  for (int i = 0; i < 20 && committed; ++i) {
+    committed =
+        inst.AppendTuples("t", {{Row(50 + i, "w"), true, std::nullopt}})
+            .ok() &&
+        inst.RetractTuples("t", {Row(50 + i, "w")}).ok();
+  }
+  done = true;
+  reader.join();
+  EXPECT_TRUE(committed);
+  EXPECT_EQ(0, mismatches.load());
+  EXPECT_EQ(41u, inst.version());
+  EXPECT_EQ(5u, RelationSize(inst));
+  EXPECT_EQ(5u, held->db.GetRelation("t").value()->size());
 }
 
 }  // namespace
