@@ -1,13 +1,22 @@
 // Ablation bench for the solver design choices DESIGN.md calls out:
-// presolve, decomposition, LP bounds, probing, pruning — plus the
-// incremental-LP core features (warm dual simplex, reduced-cost fixing,
-// cardinality cuts, pseudo-cost branching, adaptive prologue). Runs one
-// paper query with each feature toggled off and reports solve time, node
-// counts, and the LP-core counters. Every variant must reproduce the
-// all-features bounds exactly; a mismatch fails the run.
+// presolve, decomposition, the node LP, probing, pruning, the solve cache
+// — plus the features that consume the node LP (reduced-cost fixing,
+// cardinality cuts, pseudo-cost branching). Runs one paper query with
+// each feature toggled off and reports solve time, node counts, and the
+// LP-core counters.
 //
-// Usage: bench_solver_ablation [query] [num_transactions] [k] [fanout]
-//                              [out.json]
+// Every solve is fixed work: one thread and a 2000-node budget per
+// component, so node counts are deterministic and an unproved side is a
+// budget stop, not a deadline. Variants must agree with the all-features
+// bounds: sides both variants prove must be equal, and an unproved side's
+// [found, proved] interval must contain the other's exact answer. Any
+// disagreement fails the run.
+//
+// Usage: bench_solver_ablation [scheme] [query] [num_transactions] [k]
+//                              [seed] [out.json]
+//   scheme: kanon (k-anonymity, 400 items, fanout-16 hierarchy) or
+//           bipartite (safe grouping, 120 items, Query-3 threshold scaled
+//           to the transaction count).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -15,91 +24,129 @@
 #include <string>
 #include <vector>
 
+#include "anonymize/grouping.h"
 #include "harness.h"
+
+namespace {
+
+// Does the side's [found, proved] interval contain `x`?
+bool Contains(const licm::BoundSide& s, double x, bool is_min) {
+  return is_min ? s.proved <= x && x <= s.value
+                : s.value <= x && x <= s.proved;
+}
+
+bool SidesAgree(const licm::BoundSide& a, const licm::BoundSide& b,
+                bool is_min) {
+  if (a.exact && b.exact) return a.value == b.value;
+  if (a.exact) return Contains(b, a.value, is_min);
+  if (b.exact) return Contains(a, b.value, is_min);
+  return true;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace licm::bench;
   using licm::AnswerOptions;
 
   BenchTraceInit();
-  int qnum = 3;
-  uint32_t txns = 600, k = 25, fanout = 16;
-  std::string out_path = "BENCH_solver_ablation.json";
-  if (argc > 1) qnum = std::atoi(argv[1]);
-  if (qnum < 1 || qnum > 3) {
-    // The pre-rewrite CLI took txns first; fail loudly instead of letting
-    // a stale invocation crash inside query construction.
+  std::string scheme = argc > 1 ? argv[1] : "kanon";
+  const bool bipartite = scheme == "bipartite";
+  int qnum = argc > 2 ? std::atoi(argv[2]) : 3;
+  if ((!bipartite && scheme != "kanon") || qnum < 1 || qnum > 3) {
+    // Older CLIs took the query (or txns) first; fail loudly instead of
+    // letting a stale invocation run a different cell.
     std::printf(
-        "usage: bench_solver_ablation [query 1-3] [txns] [k] [fanout] "
-        "[out.json]\n  got query=%d\n", qnum);
+        "usage: bench_solver_ablation [kanon|bipartite] [query 1-3] [txns] "
+        "[k] [seed] [out.json]\n  got scheme=%s query=%d\n",
+        scheme.c_str(), qnum);
     return 2;
   }
-  if (argc > 2) txns = std::atoi(argv[2]);
-  if (argc > 3) k = std::atoi(argv[3]);
-  if (argc > 4) fanout = std::atoi(argv[4]);
-  if (argc > 5) out_path = argv[5];
+  uint32_t txns = bipartite ? 90 : 600;
+  uint32_t k = bipartite ? 4 : 25;
+  uint64_t seed = 42;
+  std::string out_path = "BENCH_solver_ablation.json";
+  if (argc > 3) txns = std::atoi(argv[3]);
+  if (argc > 4) k = std::atoi(argv[4]);
+  if (argc > 5) seed = std::strtoull(argv[5], nullptr, 10);
+  if (argc > 6) out_path = argv[6];
 
   licm::data::GeneratorConfig gen;
   gen.num_transactions = txns;
-  gen.num_items = 400;
+  gen.num_items = bipartite ? 120 : 400;
+  gen.seed = seed;
   auto dataset = licm::data::GenerateTransactions(gen);
-  auto hierarchy =
-      licm::anonymize::Hierarchy::BuildUniform(dataset.num_items, fanout);
-  auto anon = licm::anonymize::KAnonymize(dataset, hierarchy, {k});
-  if (!anon.ok()) {
-    std::printf("anonymize failed: %s\n", anon.status().ToString().c_str());
-    return 1;
+  licm::Result<licm::anonymize::EncodedDb> enc =
+      licm::Status::Internal("unset");
+  QueryParams params;
+  if (bipartite) {
+    auto groups = licm::anonymize::SafeGrouping(dataset, {k, 2, seed});
+    if (!groups.ok()) {
+      std::printf("grouping failed: %s\n",
+                  groups.status().ToString().c_str());
+      return 1;
+    }
+    enc = licm::anonymize::EncodeBipartite(*groups, dataset);
+    // Popularity threshold scaled with the transaction count, as in
+    // RunCell, so Query 3 stays non-trivial at bipartite scale.
+    params.q3_x = std::max<int64_t>(2, params.q3_x * std::min(txns, 6000u) /
+                                           6000);
+  } else {
+    auto hierarchy =
+        licm::anonymize::Hierarchy::BuildUniform(dataset.num_items, 16);
+    auto anon = licm::anonymize::KAnonymize(dataset, hierarchy, {k});
+    if (!anon.ok()) {
+      std::printf("anonymize failed: %s\n",
+                  anon.status().ToString().c_str());
+      return 1;
+    }
+    enc = licm::anonymize::EncodeGeneralized(*anon, hierarchy, dataset);
   }
-  auto enc = licm::anonymize::EncodeGeneralized(*anon, hierarchy, dataset);
   if (!enc.ok()) {
     std::printf("encode failed: %s\n", enc.status().ToString().c_str());
     return 1;
   }
-  QueryParams params;
-  auto query = BuildFlatQuery(qnum, params);
+  auto query = bipartite ? BuildBipartiteQuery(qnum, params)
+                         : BuildFlatQuery(qnum, params);
 
   struct Variant {
     const char* name;
-    // Pipeline features (pre-existing).
+    // Pipeline features.
     bool prune, presolve, decompose, lp, probing, cache;
-    // Incremental-LP core features (this PR's flags).
-    bool warm, rc, cuts, pc, adaptive;
+    // Consumers of the node LP.
+    bool rc, cuts, pc;
   };
   constexpr bool T = true, F = false;
   const Variant variants[] = {
-      {"all-features", T, T, T, T, T, T, T, T, T, T, T},
-      // One LP-core feature off at a time.
-      {"no-warm-lp", T, T, T, T, T, T, F, T, T, T, T},
-      {"no-rc-fixing", T, T, T, T, T, T, T, F, T, T, T},
-      {"no-cuts", T, T, T, T, T, T, T, T, F, T, T},
-      {"no-pseudo-cost", T, T, T, T, T, T, T, T, T, F, T},
-      {"no-adaptive-prologue", T, T, T, T, T, T, T, T, T, T, F},
-      // Whole LP core off: the CI gate compares this against
-      // all-features (features-on must be at most half its solve_ms on
-      // Query 3).
-      {"core-off", T, T, T, T, T, T, F, F, F, F, F},
-      // Pipeline ablations (pre-existing rows).
-      {"no-prune", F, T, T, T, T, T, T, T, T, T, T},
-      {"no-presolve", T, F, T, T, T, T, T, T, T, T, T},
-      {"no-decompose", T, T, F, T, T, T, T, T, T, T, T},
-      {"no-lp-bound", T, T, T, F, T, T, T, T, T, T, T},
-      {"no-probing", T, T, T, T, F, T, T, T, T, T, T},
-      {"no-cache", T, T, T, T, T, F, T, T, T, T, T},
+      {"all-features", T, T, T, T, T, T, T, T, T},
+      // One node-LP consumer off at a time.
+      {"no-rc-fixing", T, T, T, T, T, T, F, T, T},
+      {"no-cuts", T, T, T, T, T, T, T, F, T},
+      {"no-pseudo-cost", T, T, T, T, T, T, T, T, F},
+      // Node LP off, and with it every feature that consumes it.
+      {"core-off", T, T, T, F, T, T, F, F, F},
+      // Pipeline ablations.
+      {"no-prune", F, T, T, T, T, T, T, T, T},
+      {"no-presolve", T, F, T, T, T, T, T, T, T},
+      {"no-decompose", T, T, F, T, T, T, T, T, T},
+      {"no-probing", T, T, T, T, F, T, T, T, T},
+      {"no-cache", T, T, T, T, T, F, T, T, T},
   };
 
-  std::printf("# Solver/pipeline ablation on Query %d, k-anonymity k=%u, "
-              "%u txns\n",
-              qnum, k, txns);
+  std::printf("# Solver/pipeline ablation on Query %d, %s k=%u, %u txns, "
+              "seed %llu\n",
+              qnum, bipartite ? "bipartite" : "k-anonymity", k, txns,
+              static_cast<unsigned long long>(seed));
   // solve_ms is wall time of the outermost solve; cpu_ms sums the branch &
-  // bound work across strands (equal when sequential). pivots / rc_fixed /
-  // cuts count the incremental-LP core's work (zero when it is off or the
-  // component exceeds its size gate).
-  std::printf("%-21s %7s %7s %10s %10s %10s %8s %8s %8s %6s\n", "variant",
-              "min", "max", "query_ms", "solve_ms", "cpu_ms", "nodes",
-              "pivots", "rc_fixed", "cuts");
+  // bound work across strands (equal when sequential). exact marks the
+  // sides proved within the node budget. pivots / rc_fixed / cuts count
+  // the node LP's work (zero when it is off or every component exceeds
+  // its size gate).
+  std::printf("%-15s %7s %7s %5s %10s %10s %10s %8s %8s %8s %6s\n",
+              "variant", "min", "max", "exact", "query_ms", "solve_ms",
+              "cpu_ms", "nodes", "pivots", "rc_fixed", "cuts");
   std::vector<JsonRecord> records;
-  double ref_min = 0.0, ref_max = 0.0, ref_solve_ms = 0.0;
-  double core_off_solve_ms = 0.0;
+  licm::AggregateBounds ref;
   bool have_ref = false, parity_ok = true;
   for (const Variant& v : variants) {
     AnswerOptions opts;
@@ -110,55 +157,56 @@ int main(int argc, char** argv) {
     opts.bounds.mip.use_probing = v.probing;
     opts.bounds.mip.use_objective_probing = v.probing;
     opts.bounds.mip.use_cache = v.cache;
-    opts.bounds.mip.use_warm_lp = v.warm;
     opts.bounds.mip.use_rc_fixing = v.rc;
     opts.bounds.mip.use_cuts = v.cuts;
     opts.bounds.mip.use_pseudo_cost = v.pc;
-    opts.bounds.mip.use_adaptive_prologue = v.adaptive;
-    opts.bounds.mip.time_limit_seconds = 600.0;
-    // Sequential search: keeps solve_ms comparable across variants (no
-    // pool contention) and the node counts deterministic.
+    // Fixed work: sequential search (deterministic node counts, no pool
+    // contention in solve_ms) stopped by the node budget, never the clock.
     opts.bounds.mip.num_threads = 1;
+    opts.bounds.mip.max_nodes_per_component = 2000;
+    opts.bounds.mip.time_limit_seconds = 3600.0;
     auto ans = licm::AnswerAggregate(*query, enc->db, opts);
     if (!ans.ok()) {
-      std::printf("%-21s ERROR: %s\n", v.name,
+      std::printf("%-15s ERROR: %s\n", v.name,
                   ans.status().ToString().c_str());
       return 1;
     }
-    const licm::solver::MipStats& st = ans->bounds.stats;
-    std::printf("%-21s %7.1f %7.1f %10.1f %10.1f %10.1f %8lld %8lld %8lld "
-                "%6lld\n",
-                v.name, ans->bounds.min.value, ans->bounds.max.value,
-                ans->query_ms, ans->solve_ms, st.cpu_seconds * 1e3,
+    const licm::AggregateBounds& b = ans->bounds;
+    const licm::solver::MipStats& st = b.stats;
+    const char* exact = b.min.exact && b.max.exact ? "both"
+                        : b.min.exact              ? "min"
+                        : b.max.exact              ? "max"
+                                                   : "none";
+    std::printf("%-15s %7.1f %7.1f %5s %10.1f %10.1f %10.1f %8lld %8lld "
+                "%8lld %6lld\n",
+                v.name, b.min.value, b.max.value, exact, ans->query_ms,
+                ans->solve_ms, st.cpu_seconds * 1e3,
                 static_cast<long long>(st.nodes),
                 static_cast<long long>(st.lp_pivots),
                 static_cast<long long>(st.rc_fixed_vars),
                 static_cast<long long>(st.cuts_generated));
     std::fflush(stdout);
     if (!have_ref) {
-      ref_min = ans->bounds.min.value;
-      ref_max = ans->bounds.max.value;
-      ref_solve_ms = ans->solve_ms;
+      ref = b;
       have_ref = true;
-    } else if (ans->bounds.min.value != ref_min ||
-               ans->bounds.max.value != ref_max) {
-      std::printf("BOUNDS MISMATCH: %s produced [%g, %g], all-features "
-                  "produced [%g, %g]\n",
-                  v.name, ans->bounds.min.value, ans->bounds.max.value,
-                  ref_min, ref_max);
+    } else if (!SidesAgree(ref.min, b.min, /*is_min=*/true) ||
+               !SidesAgree(ref.max, b.max, /*is_min=*/false)) {
+      std::printf("BOUNDS MISMATCH: %s produced [%g, %g] (proved [%g, %g]), "
+                  "all-features produced [%g, %g] (proved [%g, %g])\n",
+                  v.name, b.min.value, b.max.value, b.min.proved,
+                  b.max.proved, ref.min.value, ref.max.value,
+                  ref.min.proved, ref.max.proved);
       parity_ok = false;
-    }
-    if (std::strcmp(v.name, "core-off") == 0) {
-      core_off_solve_ms = ans->solve_ms;
     }
     JsonRecord rec;
     rec.AddString("bench", "solver_ablation")
+        .AddString("scheme", bipartite ? "bipartite" : "kanon")
         .AddString("variant", v.name)
         .AddInt("query", qnum)
         .AddInt("txns", txns)
         .AddInt("k", k)
-        .AddRunMetrics(ans->bounds.min.value, ans->bounds.max.value,
-                       ans->bounds.min.exact, ans->bounds.max.exact,
+        .AddInt("seed", static_cast<int64_t>(seed))
+        .AddRunMetrics(b.min.value, b.max.value, b.min.exact, b.max.exact,
                        ans->query_ms, ans->solve_ms, st)
         .AddInt("lp_pivots", st.lp_pivots)
         .AddInt("warm_lp_solves", st.warm_lp_solves)
@@ -168,11 +216,6 @@ int main(int argc, char** argv) {
     records.push_back(std::move(rec));
   }
   if (!parity_ok) return 1;
-  if (core_off_solve_ms > 0.0) {
-    std::printf("\nfeatures-on solve_ms %.1f vs core-off %.1f (%.2fx)\n",
-                ref_solve_ms, core_off_solve_ms,
-                core_off_solve_ms / std::max(ref_solve_ms, 1e-9));
-  }
   auto write = WriteBenchJson(out_path, records);
   if (!write.ok()) {
     std::printf("json write failed: %s\n", write.ToString().c_str());

@@ -3,46 +3,21 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "common/telemetry.h"
-#include "solver/scheduler.h"
-#include "solver/solve_cache.h"
 
 namespace licm {
 
-Objective CountObjective(const LicmRelation& relation) {
+Objective LinearObjective(const std::vector<double>& values,
+                          const std::vector<Ext>& exts) {
+  LICM_CHECK(values.size() == exts.size());
   Objective obj;
-  for (size_t i = 0; i < relation.size(); ++i) {
-    const Ext e = relation.ext(i);
-    if (e.certain()) {
-      obj.constant += 1.0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (exts[i].certain()) {
+      obj.constant += values[i];
     } else {
-      obj.coefs[e.var()] += 1.0;
-    }
-  }
-  return obj;
-}
-
-Result<Objective> SumObjective(const LicmRelation& relation,
-                               const std::string& column) {
-  LICM_ASSIGN_OR_RETURN(size_t idx, relation.schema().IndexOf(column));
-  const rel::ValueType t = relation.schema().column(idx).type;
-  if (t == rel::ValueType::kString) {
-    return Status::InvalidArgument("SUM over string column '" + column + "'");
-  }
-  Objective obj;
-  for (size_t i = 0; i < relation.size(); ++i) {
-    const rel::Value& v = relation.tuple(i)[idx];
-    const double x = t == rel::ValueType::kInt
-                         ? static_cast<double>(std::get<int64_t>(v))
-                         : std::get<double>(v);
-    const Ext e = relation.ext(i);
-    if (e.certain()) {
-      obj.constant += x;
-    } else {
-      obj.coefs[e.var()] += x;
+      obj.coefs[exts[i].var()] += values[i];
     }
   }
   return obj;
@@ -177,22 +152,12 @@ class FeasibilityProber {
       : constraints_(constraints),
         options_(options),
         all_rows_(KeepAll(constraints, /*num_vars=*/0).rows),
-        components_(LabelComponents(constraints, num_vars)) {
-    mip_ = options.mip;
-    if (mip_.use_cache && mip_.cache == nullptr) mip_.cache = &cache_;
-    // Share one thread pool and one wall-clock budget across the whole
-    // probe sequence: the time limit bounds the MIN/MAX case analysis as
-    // a unit (sticky expiry stops every later probe immediately), and
-    // worker threads are spawned once instead of per probe.
-    if (mip_.deadline == nullptr) {
-      deadline_ = Deadline::After(mip_.time_limit_seconds);
-      mip_.deadline = &deadline_;
-    }
-    if (mip_.scheduler == nullptr &&
-        solver::Scheduler::ResolveThreads(mip_.num_threads) > 1) {
-      scheduler_.emplace(mip_.num_threads);
-      mip_.scheduler = &*scheduler_;
-    }
+        components_(LabelComponents(constraints, num_vars)),
+        // One cache, thread pool and wall-clock budget for the whole probe
+        // sequence: the time limit bounds the MIN/MAX case analysis as a
+        // unit (sticky expiry stops every later probe immediately), and
+        // worker threads are spawned once instead of per probe.
+        resources_(options.mip) {
     const auto& rows = constraints_.constraints();
     for (uint32_t k = 0; k < rows.size(); ++k) {
       if (rows[k].terms.empty()) continue;
@@ -243,7 +208,8 @@ class FeasibilityProber {
     span.AddArg("extra_rows", static_cast<double>(extras.size()));
     solver::MipStats probe_stats;
     const Feasibility f =
-        CheckFeasible(constraints_, rows, extras, mip_, &probe_stats);
+        CheckFeasible(constraints_, rows, extras, resources_.options(),
+                      &probe_stats);
     // Probes run one after another, so their walls are disjoint intervals
     // that must add up — MergeFrom alone would keep only the longest
     // probe (its max semantics target concurrent strands).
@@ -259,22 +225,12 @@ class FeasibilityProber {
   const std::vector<uint32_t> all_rows_;
   solver::UnionFind components_;
   std::unordered_map<BVar, std::vector<uint32_t>> rows_of_root_;
-  solver::MipOptions mip_;
-  solver::ComponentCache cache_;
-  Deadline deadline_ = Deadline::Never();
-  std::optional<solver::Scheduler> scheduler_;
+  const solver::SolveResources resources_;
   solver::MipStats stats_;
   int64_t probe_count_ = 0;
   bool base_checked_ = false;
   Feasibility base_result_ = Feasibility::kUnknown;
 };
-
-double NumericAt(const LicmRelation& r, size_t row, size_t col) {
-  const rel::Value& v = r.tuple(row)[col];
-  return rel::TypeOf(v) == rel::ValueType::kInt
-             ? static_cast<double>(std::get<int64_t>(v))
-             : std::get<double>(v);
-}
 
 // Constraint "at least one of `vars` is present" / "none are present".
 LinearConstraint AtLeastOne(const std::vector<BVar>& vars) {
@@ -293,28 +249,6 @@ LinearConstraint None(const std::vector<BVar>& vars) {
 }
 
 }  // namespace
-
-Result<MinMaxBounds> ComputeMinMaxBounds(const LicmRelation& relation,
-                                         const std::string& column,
-                                         const ConstraintSet& constraints,
-                                         uint32_t num_vars, bool is_max,
-                                         const BoundsOptions& options) {
-  LICM_ASSIGN_OR_RETURN(size_t col, relation.schema().IndexOf(column));
-  if (relation.schema().column(col).type == rel::ValueType::kString) {
-    return Status::InvalidArgument("MIN/MAX over string column '" + column +
-                                   "'");
-  }
-  std::vector<double> vals;
-  std::vector<Ext> exts;
-  vals.reserve(relation.size());
-  exts.reserve(relation.size());
-  for (size_t i = 0; i < relation.size(); ++i) {
-    vals.push_back(NumericAt(relation, i, col));
-    exts.push_back(relation.ext(i));
-  }
-  return ComputeMinMaxBounds(vals, exts, constraints, num_vars, is_max,
-                             options);
-}
 
 Result<MinMaxBounds> ComputeMinMaxBounds(const std::vector<double>& vals,
                                          const std::vector<Ext>& tuple_exts,

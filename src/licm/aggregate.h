@@ -17,13 +17,12 @@
 
 namespace licm {
 
-/// COUNT(*) objective: each tuple contributes its Ext.
-Objective CountObjective(const LicmRelation& relation);
-
-/// SUM(column) objective: each tuple contributes value(column) * Ext.
-/// The column must be numeric.
-Result<Objective> SumObjective(const LicmRelation& relation,
-                               const std::string& column);
+/// COUNT(*) / SUM objective over parallel value/lineage vectors (one
+/// entry per tuple): tuple i contributes values[i] * Ext_i, so COUNT(*)
+/// passes 1 per tuple and SUM(column) the column's values. Terms are
+/// accumulated in tuple order.
+Objective LinearObjective(const std::vector<double>& values,
+                          const std::vector<Ext>& exts);
 
 struct BoundsOptions {
   /// Remove variables/constraints unreachable from the objective before
@@ -92,18 +91,10 @@ struct MinMaxBounds {
   solver::MipStats stats;
 };
 
-/// Case-based MIN/MAX bounds: a sequence of solver feasibility probes over
-/// the distinct column values. `is_max` selects MAX (else MIN).
-Result<MinMaxBounds> ComputeMinMaxBounds(const LicmRelation& relation,
-                                         const std::string& column,
-                                         const ConstraintSet& constraints,
-                                         uint32_t num_vars, bool is_max,
-                                         const BoundsOptions& options = {});
-
-/// Core of the MIN/MAX case analysis over pre-extracted parallel
-/// value/lineage vectors (one entry per tuple, in relation order). The
-/// relation overload delegates here; the columnar path calls it directly
-/// with the gathered column.
+/// Case-based MIN/MAX bounds over parallel value/lineage vectors (one
+/// entry per tuple of the result relation): a sequence of solver
+/// feasibility probes over the distinct values. `is_max` selects MAX
+/// (else MIN).
 Result<MinMaxBounds> ComputeMinMaxBounds(const std::vector<double>& values,
                                          const std::vector<Ext>& exts,
                                          const ConstraintSet& constraints,

@@ -6,6 +6,10 @@
 #include "licm/columnar_ops.h"
 #include "licm/ops.h"
 
+#include <string>
+#include <variant>
+#include <vector>
+
 namespace licm {
 
 namespace {
@@ -85,103 +89,78 @@ Result<LicmRelation> EvaluateLicm(const rel::QueryNode& node,
 
 namespace {
 
-// Columnar twin of the row-path AnswerAggregate body below. Both walk the
-// merged result in the same row order, so the objective accumulation (a
-// float-order-sensitive sum) and the MIN/MAX case analysis see identical
-// inputs and the bounds match bit for bit.
-Result<AggregateAnswer> AnswerAggregateColumnar(const rel::QueryNode& query,
-                                                LicmDatabase db,
-                                                const AnswerOptions& options) {
-  AggregateAnswer out;
-  StopWatch watch;
-  const size_t cons_before = db.constraints().size();
+// The input column of an aggregate root in `schema`: the numeric
+// `sum_column` of SUM/MIN/MAX, or kCountColumn for COUNT(*), which counts
+// every tuple once.
+constexpr size_t kCountColumn = static_cast<size_t>(-1);
 
-  telemetry::ScopedSpan eval_span("licm", "query_eval");
-  ColumnarLicmContext ctx(OpContext{&db.pool(), &db.constraints()});
-  LICM_ASSIGN_OR_RETURN(LicmBatch result,
-                        EvaluateLicmBatch(*query.left, &db, &ctx));
-  // Aggregates count each distinct tuple once per world.
-  LICM_ASSIGN_OR_RETURN(result, MergeDuplicatesBatch(result, &ctx));
-  eval_span.End();
+Result<size_t> AggregateColumn(const rel::QueryNode& query,
+                               const rel::Schema& schema) {
+  if (query.kind == rel::QueryKind::kCountStar) return kCountColumn;
+  LICM_ASSIGN_OR_RETURN(size_t col, schema.IndexOf(query.sum_column));
+  if (schema.column(col).type == rel::ValueType::kString) {
+    return Status::InvalidArgument(
+        std::string(query.kind == rel::QueryKind::kSum ? "SUM" : "MIN/MAX") +
+        " over string column '" + query.sum_column + "'");
+  }
+  return col;
+}
+
+// What an engine hands the shared answer tail: the merged result as one
+// (value, Ext) pair per tuple, in result order, plus the engine's work
+// counters for the query metrics.
+struct EvaluatedColumn {
+  std::vector<double> values;
+  std::vector<Ext> exts;
+  const char* engine = "";
   size_t rows_scanned = 0;
-  for (const auto& t : ctx.base_tables) rows_scanned += t->num_rows();
-  RecordQueryMetrics("columnar", rows_scanned,
-                     db.constraints().size() - cons_before,
-                     ctx.arena.bytes_allocated());
-  telemetry::ScopedSpan solve_span("licm", "solve");
+  size_t arena_bytes = 0;
+};
 
-  if (query.kind == rel::QueryKind::kMin ||
-      query.kind == rel::QueryKind::kMax) {
-    out.vars_at_query = db.pool().size();
-    out.constraints_at_query = db.constraints().size();
-    out.query_ms = watch.ElapsedMs();
-    watch.Restart();
-    LICM_ASSIGN_OR_RETURN(size_t col,
-                          result.view.schema.IndexOf(query.sum_column));
-    if (result.view.schema.column(col).type == rel::ValueType::kString) {
-      return Status::InvalidArgument("MIN/MAX over string column '" +
-                                     query.sum_column + "'");
-    }
-    std::vector<double> values;
-    std::vector<Ext> exts;
-    NumericColumnBatch(result, col, &ctx, &values, &exts);
-    LICM_ASSIGN_OR_RETURN(
-        out.minmax,
-        ComputeMinMaxBounds(values, exts, db.constraints(), db.pool().size(),
-                            query.kind == rel::QueryKind::kMax,
-                            options.bounds));
-    out.is_minmax = true;
-    out.bounds.min.value = out.bounds.min.proved = out.minmax.lo;
-    out.bounds.min.exact = out.minmax.exact_lo;
-    out.bounds.max.value = out.bounds.max.proved = out.minmax.hi;
-    out.bounds.max.exact = out.minmax.exact_hi;
-    out.bounds.stats = out.minmax.stats;
-    out.solve_ms = watch.ElapsedMs();
-    return out;
-  }
-
-  const uint32_t* rows = rel::ActiveRows(result.view, &ctx.arena);
-  Objective obj;
-  if (query.kind == rel::QueryKind::kCountStar) {
+Result<EvaluatedColumn> EvaluateColumnar(const rel::QueryNode& query,
+                                         LicmDatabase* db,
+                                         ColumnarLicmContext* ctx) {
+  LICM_ASSIGN_OR_RETURN(LicmBatch result,
+                        EvaluateLicmBatch(*query.left, db, ctx));
+  // Aggregates count each distinct tuple once per world.
+  LICM_ASSIGN_OR_RETURN(result, MergeDuplicatesBatch(result, ctx));
+  LICM_ASSIGN_OR_RETURN(size_t col,
+                        AggregateColumn(query, result.view.schema));
+  EvaluatedColumn out;
+  out.engine = "columnar";
+  for (const auto& t : ctx->base_tables) out.rows_scanned += t->num_rows();
+  out.arena_bytes = ctx->arena.bytes_allocated();
+  if (col == kCountColumn) {
+    const uint32_t* rows = rel::ActiveRows(result.view, &ctx->arena);
+    out.exts.reserve(result.view.active);
     for (size_t i = 0; i < result.view.active; ++i) {
-      const Ext e = result.exts[rows[i]];
-      if (e.certain()) {
-        obj.constant += 1.0;
-      } else {
-        obj.coefs[e.var()] += 1.0;
-      }
+      out.exts.push_back(result.exts[rows[i]]);
     }
+    out.values.assign(out.exts.size(), 1.0);
   } else {
-    LICM_ASSIGN_OR_RETURN(size_t idx,
-                          result.view.schema.IndexOf(query.sum_column));
-    const rel::ValueType t = result.view.schema.column(idx).type;
-    if (t == rel::ValueType::kString) {
-      return Status::InvalidArgument("SUM over string column '" +
-                                     query.sum_column + "'");
-    }
-    for (size_t i = 0; i < result.view.active; ++i) {
-      const uint32_t row = rows[i];
-      const double x = t == rel::ValueType::kInt
-                           ? static_cast<double>(result.view.cols[idx].i64[row])
-                           : result.view.cols[idx].f64[row];
-      const Ext e = result.exts[row];
-      if (e.certain()) {
-        obj.constant += x;
-      } else {
-        obj.coefs[e.var()] += x;
-      }
-    }
+    NumericColumnBatch(result, col, ctx, &out.values, &out.exts);
   }
-  out.vars_at_query = db.pool().size();
-  out.constraints_at_query = db.constraints().size();
-  out.query_ms = watch.ElapsedMs();
+  return out;
+}
 
-  watch.Restart();
-  LICM_ASSIGN_OR_RETURN(
-      out.bounds,
-      ComputeBounds(obj, db.constraints(), db.pool().size(),
-                    options.bounds));
-  out.solve_ms = watch.ElapsedMs();
+Result<EvaluatedColumn> EvaluateRow(const rel::QueryNode& query,
+                                    LicmDatabase* db) {
+  LICM_ASSIGN_OR_RETURN(LicmRelation result, EvaluateLicm(*query.left, db));
+  OpContext ctx{&db->pool(), &db->constraints()};
+  LICM_ASSIGN_OR_RETURN(result, MergeDuplicates(result, ctx));
+  LICM_ASSIGN_OR_RETURN(size_t col, AggregateColumn(query, result.schema()));
+  // The row path has no batch arena and does not track base-scan rows.
+  EvaluatedColumn out;
+  out.engine = "row";
+  out.exts = result.exts();
+  out.values.assign(result.size(), 1.0);
+  if (col == kCountColumn) return out;
+  for (size_t i = 0; i < result.size(); ++i) {
+    const rel::Value& v = result.tuple(i)[col];
+    out.values[i] = rel::TypeOf(v) == rel::ValueType::kInt
+                        ? static_cast<double>(std::get<int64_t>(v))
+                        : std::get<double>(v);
+  }
   return out;
 }
 
@@ -194,32 +173,41 @@ Result<AggregateAnswer> AnswerAggregate(const rel::QueryNode& query,
     return Status::InvalidArgument(
         "AnswerAggregate requires kCountStar or kSum at the root");
   }
-  if (options.engine == rel::EvalEngine::kColumnar) {
-    return AnswerAggregateColumnar(query, std::move(db), options);
-  }
-  AggregateAnswer out;
   StopWatch watch;
   const size_t cons_before = db.constraints().size();
 
+  // Both engines walk the merged result in the same row order, so the
+  // objective sum (float-order-sensitive) and the MIN/MAX case analysis
+  // below see identical inputs and the bounds match bit for bit.
   telemetry::ScopedSpan eval_span("licm", "query_eval");
-  LICM_ASSIGN_OR_RETURN(LicmRelation result, EvaluateLicm(*query.left, &db));
-  // Aggregates count each distinct tuple once per world.
-  OpContext ctx{&db.pool(), &db.constraints()};
-  LICM_ASSIGN_OR_RETURN(result, MergeDuplicates(result, ctx));
+  // The columnar context (arena, base-table copies) lives until the answer
+  // returns on purpose: freed before the solve, its large blocks get split
+  // by the solver's small allocations, and the next answer's scans fault in
+  // fresh pages (about 30 % more paper-offline eval time).
+  ColumnarLicmContext ctx(OpContext{&db.pool(), &db.constraints()});
+  LICM_ASSIGN_OR_RETURN(EvaluatedColumn in,
+                        options.engine == rel::EvalEngine::kColumnar
+                            ? EvaluateColumnar(query, &db, &ctx)
+                            : EvaluateRow(query, &db));
   eval_span.End();
-  // The row path has no batch arena and does not track base-scan rows.
-  RecordQueryMetrics("row", 0, db.constraints().size() - cons_before, 0);
+  RecordQueryMetrics(in.engine, in.rows_scanned,
+                     db.constraints().size() - cons_before, in.arena_bytes);
   telemetry::ScopedSpan solve_span("licm", "solve");
 
-  if (query.kind == rel::QueryKind::kMin ||
-      query.kind == rel::QueryKind::kMax) {
-    out.vars_at_query = db.pool().size();
-    out.constraints_at_query = db.constraints().size();
-    out.query_ms = watch.ElapsedMs();
-    watch.Restart();
+  AggregateAnswer out;
+  const bool minmax = query.kind == rel::QueryKind::kMin ||
+                      query.kind == rel::QueryKind::kMax;
+  Objective obj;
+  if (!minmax) obj = LinearObjective(in.values, in.exts);
+  out.vars_at_query = db.pool().size();
+  out.constraints_at_query = db.constraints().size();
+  out.query_ms = watch.ElapsedMs();
+
+  watch.Restart();
+  if (minmax) {
     LICM_ASSIGN_OR_RETURN(
         out.minmax,
-        ComputeMinMaxBounds(result, query.sum_column, db.constraints(),
+        ComputeMinMaxBounds(in.values, in.exts, db.constraints(),
                             db.pool().size(),
                             query.kind == rel::QueryKind::kMax,
                             options.bounds));
@@ -229,25 +217,12 @@ Result<AggregateAnswer> AnswerAggregate(const rel::QueryNode& query,
     out.bounds.max.value = out.bounds.max.proved = out.minmax.hi;
     out.bounds.max.exact = out.minmax.exact_hi;
     out.bounds.stats = out.minmax.stats;
-    out.solve_ms = watch.ElapsedMs();
-    return out;
-  }
-
-  Objective obj;
-  if (query.kind == rel::QueryKind::kCountStar) {
-    obj = CountObjective(result);
   } else {
-    LICM_ASSIGN_OR_RETURN(obj, SumObjective(result, query.sum_column));
+    LICM_ASSIGN_OR_RETURN(
+        out.bounds,
+        ComputeBounds(obj, db.constraints(), db.pool().size(),
+                      options.bounds));
   }
-  out.vars_at_query = db.pool().size();
-  out.constraints_at_query = db.constraints().size();
-  out.query_ms = watch.ElapsedMs();
-
-  watch.Restart();
-  LICM_ASSIGN_OR_RETURN(
-      out.bounds,
-      ComputeBounds(obj, db.constraints(), db.pool().size(),
-                    options.bounds));
   out.solve_ms = watch.ElapsedMs();
   return out;
 }

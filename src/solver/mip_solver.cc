@@ -70,13 +70,9 @@ constexpr double kTol = 1e-6;
 // (e.g. through a join) produces a unique component whose fingerprint
 // would cost more than it could ever save.
 constexpr size_t kCacheMaxComponentVars = 512;
-// Skip the cold LP bound for components larger than this many variables
-// (dense tableau cost grows quadratically); propagation and probing
-// bounds remain.
-constexpr size_t kLpBoundMaxVars = 150;
-// Components up to this many variables use the warm LP even above
-// kLpBoundMaxVars (warm re-solves amortize the larger tableau).
-constexpr size_t kWarmLpMaxVars = 400;
+// Components above this many variables skip the node LP (the dense
+// tableau grows quadratically); propagation and probing bounds remain.
+constexpr size_t kNodeLpMaxVars = 400;
 // Cut rows a single component search may accumulate.
 constexpr size_t kMaxCutsPerComponent = 32;
 // Fractional candidates probed by strong branching at the root.
@@ -117,17 +113,15 @@ std::string CutKeyString(const Row& row) {
 // the donor's trail and inherit the donor's basis snapshot.
 class ComponentSearch {
  public:
+  // `opt` comes from SolveResources: its deadline is always set.
   ComponentSearch(const LinearProgram& lp, const MipOptions& opt,
-                  const Deadline& deadline, Scheduler* scheduler,
-                  MipStats* stats, int64_t trace_id = 0)
-      : lp_(lp), opt_(opt), deadline_(deadline), scheduler_(scheduler),
+                  MipStats* stats, int64_t trace_id)
+      : lp_(lp), opt_(opt), deadline_(*opt.deadline),
+        scheduler_(opt.scheduler),
         stats_(stats), trace_id_(trace_id), propagator_(lp),
         integral_(AllIntegral(lp)),
-        lp_warm_(opt.use_lp_bound && opt.use_warm_lp &&
-                 lp.num_vars() <= kWarmLpMaxVars &&
-                 IncrementalLp::Suitable(lp)),
-        lp_at_nodes_(opt.use_lp_bound &&
-                     (lp.num_vars() <= kLpBoundMaxVars || lp_warm_)) {
+        node_lp_(opt.use_lp_bound && lp.num_vars() <= kNodeLpMaxVars &&
+                 IncrementalLp::Suitable(lp)) {
     if (opt.use_pseudo_cost) {
       for (int dir = 0; dir < 2; ++dir) {
         pc_sum_[dir].assign(lp.num_vars(), 0.0);
@@ -163,7 +157,7 @@ class ComponentSearch {
   /// (bounds, integrality, rows); an infeasible point is rejected and
   /// false returned, so a stale pool entry can never corrupt a proof.
   /// A seeded incumbent only prunes — the optimum is unchanged, the
-  /// adaptive prologue may just find the root gap already closed.
+  /// prologue may just find the root gap already closed.
   bool SeedIncumbent(std::vector<double> x) {
     if (x.size() != lp_.num_vars()) return false;
     if (!lp_.IsFeasible(x, kTol)) return false;
@@ -215,17 +209,15 @@ class ComponentSearch {
     root_strand.dom = Domains::FromProgram(lp_);
     if (propagator_.Run(&root_strand.dom, nullptr, nullptr,
                         &root_strand.scratch) == PropagateResult::kFixpoint) {
-      // Adaptive prologue (use_adaptive_prologue): one objective-guided
-      // dive first — heuristic 1 drives every objective variable to its
-      // preferred bound before touching filler variables, so when that
-      // corner is feasible the incumbent equals the root activity bound
-      // outright and both the singleton-probing sweep and the remaining
-      // dives are pure overhead (on aggregate queries the objective
-      // touches a few dozen variables of a 20k-variable component). Each
-      // stage below runs only while the gap stays open. With the flag off
-      // this reproduces the legacy fixed prologue: full probing sweep,
-      // then all three dives, unconditionally.
-      if (opt_.use_adaptive_prologue) {
+      // Gap-aware prologue: one objective-guided dive first — heuristic 1
+      // drives every objective variable to its preferred bound before
+      // touching filler variables, so when that corner is feasible the
+      // incumbent equals the root activity bound outright and both the
+      // singleton-probing sweep and the remaining dives are pure overhead
+      // (on aggregate queries the objective touches a few dozen variables
+      // of a 20k-variable component). Each stage below runs only while
+      // the gap stays open.
+      {
         LICM_TRACE_SPAN("solver", "dives");
         // Cheapest first: if the objective-preferred corner of the
         // propagated box satisfies every row outright (one O(nnz) sweep),
@@ -234,7 +226,7 @@ class ComponentSearch {
           GreedyDive(&root_strand, 1);
         }
       }
-      if (!opt_.use_adaptive_prologue || !RootGapClosed(root_strand.dom)) {
+      if (!RootGapClosed(root_strand.dom)) {
         LICM_TRACE_SPAN("solver", "probe_root");
         if (opt_.use_probing && !ProbeRoot(&root_strand)) {
           res.status = SolveStatus::kInfeasible;
@@ -245,10 +237,7 @@ class ComponentSearch {
       // Remaining dives: seed the incumbent from other corners so search
       // starts with a primal bound to prune against. Single-threaded —
       // parallel strands only exist below.
-      if (!opt_.use_adaptive_prologue) {
-        LICM_TRACE_SPAN("solver", "dives");
-        for (int heur = 0; heur < 3; ++heur) GreedyDive(&root_strand, heur);
-      } else if (!RootGapClosed(root_strand.dom)) {
+      if (!RootGapClosed(root_strand.dom)) {
         LICM_TRACE_SPAN("solver", "dives");
         for (int heur : {0, 2}) {
           GreedyDive(&root_strand, heur);
@@ -259,7 +248,7 @@ class ComponentSearch {
       // Root LP: warm state, root cut separation, and strong branching —
       // all before any parallel strand exists.
       double root_bound = kInfinity;
-      if (lp_warm_ && !RootLpSetup(&root_strand, &root_bound)) {
+      if (node_lp_ && !RootLpSetup(&root_strand, &root_bound)) {
         res.status = SolveStatus::kInfeasible;
         stats_->cpu_seconds += prep_clock.ElapsedSeconds();
         return res;
@@ -362,14 +351,14 @@ class ComponentSearch {
     uint32_t since_check = 0;
     while (changed && rounds++ < 3) {
       changed = false;
-      if (opt_.use_adaptive_prologue && RootGapClosed(dom)) return true;
+      if (RootGapClosed(dom)) return true;
       for (VarId v = 0; v < lp_.num_vars(); ++v) {
         if (!lp_.vars()[v].is_integer) continue;
         if (dom.upper[v] - dom.lower[v] < 0.5) continue;
         if (deadline_.Expired()) return true;
         // Committed fixings tighten the activity bound as the sweep runs;
         // once it meets the incumbent the rest of the sweep is moot.
-        if (opt_.use_adaptive_prologue && ++since_check >= 512) {
+        if (++since_check >= 512) {
           since_check = 0;
           if (RootGapClosed(dom)) return true;
         }
@@ -831,14 +820,13 @@ class ComponentSearch {
       if (integral_) bound = std::floor(bound + kTol);
       if (Cut(bound)) continue;
 
-      // LP relaxation at the node. The warm path re-solves the strand's
-      // incremental state from the previous basis in a few dual pivots and
-      // feeds reduced-cost fixing, cut separation, and pseudo-cost data;
-      // the cold path is one SolveLpRelaxation call on a bounded copy.
+      // LP relaxation at the node: re-solves the strand's incremental
+      // state from the previous basis in a few dual pivots and feeds
+      // reduced-cost fixing, cut separation, and pseudo-cost data.
       VarId branch_var = kNoVar;
       double frac_target = -1.0;  // LP value of the branch variable
       double lp_obj = kNan;       // node relaxation objective if optimal
-      if (lp_at_nodes_ && lp_warm_) {
+      if (node_lp_) {
         EnsureLp(s);
         ApplyNewCuts(s);
         bool prune = false;
@@ -923,41 +911,6 @@ class ComponentSearch {
           break;
         }
         if (prune) continue;
-      } else if (lp_at_nodes_) {
-        LpSolution rel = SolveWithDomains(dom);
-        ++stats->lp_solves;
-        if (rel.status == SolveStatus::kInfeasible) continue;
-        if (rel.status == SolveStatus::kOptimal) {
-          lp_obj = rel.objective;
-          double lpb = lp_obj;
-          if (integral_) lpb = std::floor(lpb + kTol);
-          bound = std::min(bound, lpb);
-          if (Cut(bound)) continue;
-          // Integral LP solutions are incumbents for free.
-          VarId most_frac = kNoVar;
-          double best_frac = kTol;
-          for (VarId v = 0; v < lp_.num_vars(); ++v) {
-            if (!lp_.vars()[v].is_integer) continue;
-            const double f =
-                std::abs(rel.values[v] - std::round(rel.values[v]));
-            if (f > best_frac && dom.upper[v] - dom.lower[v] > 0.5) {
-              best_frac = f;
-              most_frac = v;
-            }
-          }
-          if (most_frac == kNoVar) {
-            std::vector<double> x = rel.values;
-            for (VarId v = 0; v < lp_.num_vars(); ++v) {
-              if (lp_.vars()[v].is_integer) x[v] = std::round(x[v]);
-            }
-            const double val = lp_.EvalObjective(x);
-            OfferIncumbent(val, std::move(x));
-            continue;
-          }
-          branch_var = most_frac;
-          frac_target = rel.values[most_frac];
-        }
-        // kTimeLimit / kUnbounded from the relaxation: keep activity bound.
       }
 
       // No LP-guided choice: pick the unfixed integer variable most
@@ -1170,15 +1123,6 @@ class ComponentSearch {
     return b;
   }
 
-  LpSolution SolveWithDomains(const Domains& dom) const {
-    LinearProgram sub = lp_;  // cheap: component programs are small
-    for (VarId v = 0; v < sub.num_vars(); ++v) {
-      sub.mutable_vars()[v].lower = dom.lower[v];
-      sub.mutable_vars()[v].upper = dom.upper[v];
-    }
-    return SolveLpRelaxation(sub, Sense::kMaximize);
-  }
-
   const LinearProgram& lp_;
   const MipOptions& opt_;
   const Deadline& deadline_;
@@ -1187,8 +1131,7 @@ class ComponentSearch {
   const int64_t trace_id_;      // component id in telemetry events
   Propagator propagator_;       // Run() is const and stateless: shared
   const bool integral_;
-  const bool lp_warm_;      // strands keep warm IncrementalLp states
-  const bool lp_at_nodes_;  // some LP bound (warm or cold) at every node
+  const bool node_lp_;  // strands keep warm IncrementalLp states
   std::vector<int32_t> sos1_of_var_;
 
   // Cut registry shared by all strands: each strand's LP has absorbed the
@@ -1283,7 +1226,8 @@ ComponentResult EntryToResult(const ComponentCache::Entry& e,
 // join regime) still saturates the machine.
 std::vector<ComponentResult> SolveBatch(
     const std::vector<const LinearProgram*>& programs, const MipOptions& opt,
-    const Deadline& deadline, Scheduler* scheduler, MipStats* stats) {
+    MipStats* stats) {
+  Scheduler* const scheduler = opt.scheduler;
   const size_t n = programs.size();
   std::vector<ComponentResult> results(n);
 
@@ -1365,8 +1309,8 @@ std::vector<ComponentResult> SolveBatch(
                          {{"component", static_cast<double>(i)}});
       telemetry::ScopedSpan span("solver", "search");
       span.AddArg("component", static_cast<double>(i));
-      ComponentSearch search(*programs[i], opt, deadline, scheduler,
-                             task_stats, static_cast<int64_t>(i));
+      ComponentSearch search(*programs[i], opt, task_stats,
+                             static_cast<int64_t>(i));
       seed_from_pool(&search, forms[i], task_stats);
       results[i] = search.Run();
       const ComponentResult& res = results[i];
@@ -1386,7 +1330,7 @@ std::vector<ComponentResult> SolveBatch(
     }
     telemetry::ScopedSpan span("solver", "search");
     span.AddArg("component", static_cast<double>(i));
-    ComponentSearch search(*programs[i], opt, deadline, scheduler, task_stats,
+    ComponentSearch search(*programs[i], opt, task_stats,
                            static_cast<int64_t>(i));
     if (use_pool[i]) seed_from_pool(&search, forms[i], task_stats);
     results[i] = search.Run();
@@ -1596,6 +1540,32 @@ void RecordSolveMetrics(const MipStats& s) {
 
 }  // namespace
 
+SolveResources::SolveResources(const MipOptions& options)
+    : options_(options) {
+  if (!options_.use_cache) {
+    options_.cache = nullptr;
+  } else if (options_.cache == nullptr) {
+    cache_ = std::make_unique<ComponentCache>();
+    options_.cache = cache_.get();
+  }
+  if (options_.deadline == nullptr) {
+    deadline_ = Deadline::After(options_.time_limit_seconds);
+    options_.deadline = &deadline_;
+  }
+  if (options_.scheduler == nullptr &&
+      Scheduler::ResolveThreads(options_.num_threads) > 1) {
+    scheduler_ = std::make_unique<Scheduler>(options_.num_threads);
+    options_.scheduler = scheduler_.get();
+  }
+}
+
+SolveResources::~SolveResources() = default;
+
+int SolveResources::num_threads() const {
+  return options_.scheduler != nullptr ? options_.scheduler->num_threads()
+                                       : 1;
+}
+
 MipResult MipSolver::Solve(const LinearProgram& input, Sense sense) const {
   StopWatch clock;
   LICM_TRACE_SPAN("solver", "mip_solve");
@@ -1606,26 +1576,10 @@ MipResult MipSolver::Solve(const LinearProgram& input, Sense sense) const {
   LinearProgram lp = input;
   if (minimize) lp = NegateObjective(input);
 
-  MipOptions opt = options_;
-  ComponentCache local_cache;
-  if (!opt.use_cache) {
-    opt.cache = nullptr;
-  } else if (opt.cache == nullptr) {
-    opt.cache = &local_cache;
-  }
-
-  const Deadline local_deadline = Deadline::After(opt.time_limit_seconds);
-  const Deadline& deadline =
-      opt.deadline != nullptr ? *opt.deadline : local_deadline;
-  std::optional<Scheduler> local_sched;
-  Scheduler* sched = opt.scheduler;
-  if (sched == nullptr && Scheduler::ResolveThreads(opt.num_threads) > 1) {
-    local_sched.emplace(opt.num_threads);
-    sched = &*local_sched;
-  }
-
+  const SolveResources resources(options_);
+  const MipOptions& opt = resources.options();
   MipStats stats;
-  stats.num_threads = sched != nullptr ? sched->num_threads() : 1;
+  stats.num_threads = resources.num_threads();
   PreparedPipeline p;
   Prepare(lp, opt, &stats, &p);
   if (p.infeasible) {
@@ -1640,8 +1594,7 @@ MipResult MipSolver::Solve(const LinearProgram& input, Sense sense) const {
   std::vector<const LinearProgram*> programs;
   programs.reserve(p.comps.size());
   for (const Component& c : p.comps) programs.push_back(&c.program);
-  std::vector<ComponentResult> solved =
-      SolveBatch(programs, opt, deadline, sched, &stats);
+  std::vector<ComponentResult> solved = SolveBatch(programs, opt, &stats);
   MipResult result = Assemble(p, opt, programs, solved, 0,
                               p.work->objective_constant(), minimize);
   result.stats = stats;
@@ -1656,26 +1609,10 @@ MinMaxMipResult MipSolver::SolveMinMax(const LinearProgram& input) const {
   MinMaxMipResult out;
   LICM_CHECK_OK(input.Validate());
 
-  MipOptions opt = options_;
-  ComponentCache local_cache;
-  if (!opt.use_cache) {
-    opt.cache = nullptr;
-  } else if (opt.cache == nullptr) {
-    opt.cache = &local_cache;
-  }
-
-  const Deadline local_deadline = Deadline::After(opt.time_limit_seconds);
-  const Deadline& deadline =
-      opt.deadline != nullptr ? *opt.deadline : local_deadline;
-  std::optional<Scheduler> local_sched;
-  Scheduler* sched = opt.scheduler;
-  if (sched == nullptr && Scheduler::ResolveThreads(opt.num_threads) > 1) {
-    local_sched.emplace(opt.num_threads);
-    sched = &*local_sched;
-  }
-
+  const SolveResources resources(options_);
+  const MipOptions& opt = resources.options();
   PreparedPipeline p;
-  out.stats.num_threads = sched != nullptr ? sched->num_threads() : 1;
+  out.stats.num_threads = resources.num_threads();
   Prepare(input, opt, &out.stats, &p);
   if (p.infeasible) {
     out.min.status = out.max.status = SolveStatus::kInfeasible;
@@ -1700,7 +1637,7 @@ MinMaxMipResult MipSolver::SolveMinMax(const LinearProgram& input) const {
     programs[nc + i] = &negated[i];
   }
   std::vector<ComponentResult> solved =
-      SolveBatch(programs, opt, deadline, sched, &out.stats);
+      SolveBatch(programs, opt, &out.stats);
 
   out.max = Assemble(p, opt, programs, solved, 0,
                      p.work->objective_constant(), /*negate=*/false);

@@ -10,6 +10,7 @@
 #define LICM_SOLVER_MIP_SOLVER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -25,6 +26,14 @@ struct MipOptions {
   double time_limit_seconds = 300.0;
   bool use_presolve = true;
   bool use_decomposition = true;
+  /// Node LP bound: each search strand keeps one warm bounded-variable
+  /// dual-simplex state (simplex.h IncrementalLp) and re-solves a node's
+  /// relaxation from the previous node's basis in a few pivots. Applies to
+  /// components of at most 400 variables whose dense tableau fits the
+  /// engine (IncrementalLp::Suitable); larger ones keep the propagation
+  /// and probing bounds. Also the prerequisite for use_rc_fixing /
+  /// use_cuts / use_pseudo_cost, which consume its duals and fractional
+  /// vertices.
   bool use_lp_bound = true;
   /// Consult a canonical-form solve cache per connected component (see
   /// solve_cache.h): isomorphic components — the common case under
@@ -33,8 +42,8 @@ struct MipOptions {
   /// permutation thereafter.
   bool use_cache = true;
   /// Cache shared across solver calls. When null and use_cache is set,
-  /// each Solve/SolveMinMax call uses a private per-call cache, which
-  /// still dedupes isomorphic components within the call.
+  /// each call gets a private cache (SolveResources), which still dedupes
+  /// isomorphic components within the call.
   ComponentCache* cache = nullptr;
   /// Singleton-consistency probing at each component root.
   bool use_probing = true;
@@ -47,13 +56,6 @@ struct MipOptions {
   /// Node cap per connected component; exceeding it degrades the result to
   /// kTimeLimit with valid (objective, best_bound) interval.
   int64_t max_nodes_per_component = 4'000'000;
-  /// Incremental LP core (simplex.h IncrementalLp): each search strand
-  /// keeps one warm bounded-variable dual-simplex state and re-solves a
-  /// node's relaxation from the parent basis in a few pivots instead of a
-  /// cold SolveLpRelaxation per node. Also the prerequisite for
-  /// use_rc_fixing / use_cuts / use_pseudo_cost, which consume its duals
-  /// and fractional vertices.
-  bool use_warm_lp = true;
   /// Reduced-cost variable fixing: after an optimal node relaxation with
   /// an incumbent in hand, a nonbasic integer whose reduced cost proves
   /// every improving solution keeps it at its bound is fixed there for the
@@ -75,16 +77,6 @@ struct MipOptions {
   /// root, replacing the most-fractional rule when relaxation data is
   /// available (falls back to the structural heuristic otherwise).
   bool use_pseudo_cost = true;
-  /// Gap-aware root prologue: run one objective-guided dive first and skip
-  /// the singleton-probing sweep and remaining dives whenever the
-  /// incumbent already meets the root activity bound (checked between —
-  /// and during — every prologue stage). On aggregate queries whose
-  /// objective touches a few dozen variables of a huge coupled component,
-  /// this removes the entire O(vars x probes) prologue from the critical
-  /// path. Off reproduces the legacy fixed prologue (full probe sweep,
-  /// then all dives). Bounds are identical either way; only the work done
-  /// to reach them changes.
-  bool use_adaptive_prologue = true;
   /// Worker threads shared by independent connected components and by
   /// intra-component subtree search (the paper's concluding remark that
   /// "parallelism ... may be required to scale"). 0 (the default)
@@ -96,10 +88,10 @@ struct MipOptions {
   /// resolved thread count exceeds 1; small values exercise the split
   /// path in tests, larger ones keep trivial searches split-free.
   int64_t split_node_threshold = 10'000;
-  /// Shared scheduler. When null, Solve/SolveMinMax size a private pool
-  /// by `num_threads`; the MIN/MAX feasibility prober shares one pool
-  /// across its whole probe sequence (like `cache`). The scheduler's own
-  /// thread count governs when set.
+  /// Shared scheduler. When null, each call sizes a private pool by
+  /// `num_threads` (SolveResources); the MIN/MAX feasibility prober
+  /// shares one pool across its whole probe sequence (like `cache`). The
+  /// scheduler's own thread count governs when set.
   Scheduler* scheduler = nullptr;
   /// Shared absolute deadline. When set it overrides
   /// `time_limit_seconds`, letting a caller budget one wall-clock limit
@@ -199,6 +191,31 @@ struct MinMaxMipResult {
   MipResult min;
   MipResult max;
   MipStats stats;
+};
+
+/// The per-call resources a solve derives from MipOptions, set up in one
+/// place for every solver entry point: `use_cache` without a shared
+/// `cache` gets a private cache (and `use_cache` off clears `cache`), no
+/// shared `deadline` means one `time_limit_seconds` from now, and no
+/// shared `scheduler` with more than one resolved thread means a private
+/// pool. `options()` points at whatever was created here, so the object
+/// must outlive every solve that uses them.
+class SolveResources {
+ public:
+  explicit SolveResources(const MipOptions& options);
+  ~SolveResources();
+  SolveResources(const SolveResources&) = delete;
+  SolveResources& operator=(const SolveResources&) = delete;
+
+  const MipOptions& options() const { return options_; }
+  /// Resolved executor count of the solves (1 without a scheduler).
+  int num_threads() const;
+
+ private:
+  MipOptions options_;
+  std::unique_ptr<ComponentCache> cache_;
+  Deadline deadline_ = Deadline::Never();
+  std::unique_ptr<Scheduler> scheduler_;
 };
 
 class MipSolver {

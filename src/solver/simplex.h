@@ -2,14 +2,13 @@
 //
 // Two engines share this header:
 //
-//  * SolveLpRelaxation — the original two-phase *primal* simplex on a dense
-//    tableau. Stateless: every call builds the tableau from scratch. Used
-//    for pure-LP components and as the cold fallback when the incremental
-//    engine does not apply.
+//  * SolveLpRelaxation — a two-phase *primal* simplex on a dense tableau.
+//    Stateless: every call builds the tableau from scratch. Used once per
+//    pure-LP component (no integer variables); never per node.
 //
 //  * IncrementalLp — a bounded-variable *dual* simplex that keeps its
-//    basis, tableau, and reduced costs alive between solves. Branch &
-//    bound re-solves the same program thousands of times under slightly
+//    basis, tableau, and reduced costs alive between solves: the one node
+//    LP of branch & bound. Branch & bound re-solves the same program thousands of times under slightly
 //    different variable bounds; the dual method re-establishes optimality
 //    from the parent basis in a handful of pivots instead of a full
 //    re-solve, and its reduced costs drive reduced-cost variable fixing

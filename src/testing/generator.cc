@@ -184,6 +184,22 @@ FuzzCase GenerateCase(uint64_t seed, const GeneratorOptions& options) {
   out.num_base_vars = out.db.pool().size();
   LICM_CHECK_OK(out.db.AddRelation(kFuzzRelation, std::move(r)));
   out.query = MakeQuery(&rng);
+  // One case in eight (chosen by seed, drawn last, so every other case is
+  // unchanged) also gets a cardinality row no world satisfies: more of a
+  // random subset of the tuple variables present than the subset holds.
+  // Every feasibility check over rows that include it — the pruned
+  // remainder when the query does not reach the subset — must then say
+  // infeasible, which a witness that reports a world without verifying
+  // it gets wrong.
+  if (seed % 8 == 0 && !vars.empty()) {
+    std::vector<BVar> subset;
+    for (BVar v : vars) {
+      if (rng.Bernoulli(0.5)) subset.push_back(v);
+    }
+    if (subset.empty()) subset.push_back(vars[rng.Uniform(vars.size())]);
+    const auto n = static_cast<int64_t>(subset.size());
+    out.db.constraints().AddCardinality(subset, n + 1, n + 1);
+  }
   return out;
 }
 

@@ -55,7 +55,10 @@ struct FuzzCase {
   rel::QueryNodePtr query;
 };
 
-/// Deterministically generates the case for `seed`.
+/// Deterministically generates the case for `seed`. Seeds divisible by 8
+/// (when the relation has a maybe tuple) add one contradictory
+/// cardinality row over the tuple variables, so a share of every seed
+/// range is infeasible and exercises the feasibility checks.
 FuzzCase GenerateCase(uint64_t seed, const GeneratorOptions& options = {});
 
 }  // namespace licm::testing

@@ -186,18 +186,12 @@ InvariantReport CheckThreads(const CaseContext& ctx) {
 }
 
 InvariantReport CheckSolverFeatures(const CaseContext& ctx) {
-  // The baseline runs with the incremental LP core fully enabled (warm
-  // dual simplex, reduced-cost fixing, cardinality cuts, pseudo-cost
-  // branching); this re-solve turns all of it off at once.
+  // The baseline runs with the node LP and everything that consumes it
+  // (reduced-cost fixing, cardinality cuts, pseudo-cost branching); this
+  // re-solve turns the node LP, and with it all of those, off.
   AnswerOptions opt = BaselineOptions();
-  opt.bounds.mip.use_warm_lp = false;
-  opt.bounds.mip.use_rc_fixing = false;
-  opt.bounds.mip.use_cuts = false;
-  opt.bounds.mip.use_pseudo_cost = false;
-  opt.bounds.mip.use_adaptive_prologue = false;
-  return CompareWithBaseline(
-      "solver_features", ctx, opt,
-      "warm LP / RC fixing / cuts / pseudo-cost / adaptive prologue off");
+  opt.bounds.mip.use_lp_bound = false;
+  return CompareWithBaseline("solver_features", ctx, opt, "node LP off");
 }
 
 InvariantReport CheckMinMaxBatch(const CaseContext& ctx) {
@@ -937,9 +931,8 @@ const std::vector<Invariant>& AllInvariants() {
        CheckDecompose},
       {"threads", "bit-identical bounds with 1 vs 4 worker threads",
        CheckThreads},
-      {"solver_features", "bit-identical bounds with warm LP, RC fixing, "
-                          "cuts, pseudo-cost branching, and the adaptive "
-                          "prologue off",
+      {"solver_features", "bit-identical bounds with the node LP (and "
+                          "RC fixing, cuts, pseudo-cost branching) off",
        CheckSolverFeatures},
       {"minmax", "SolveMinMax equals two single-sense solves",
        CheckMinMaxBatch},
@@ -989,15 +982,28 @@ Result<solver::LinearProgram> BuildCaseLp(const FuzzCase& c) {
   LICM_ASSIGN_OR_RETURN(LicmRelation result, EvaluateLicm(*c.query->left, &db));
   OpContext ctx{&db.pool(), &db.constraints()};
   LICM_ASSIGN_OR_RETURN(result, MergeDuplicates(result, ctx));
-  Objective obj;
-  if (c.query->kind == rel::QueryKind::kCountStar) {
-    obj = CountObjective(result);
-  } else if (c.query->kind == rel::QueryKind::kSum) {
-    LICM_ASSIGN_OR_RETURN(obj, SumObjective(result, c.query->sum_column));
-  } else {
+  if (c.query->kind != rel::QueryKind::kCountStar &&
+      c.query->kind != rel::QueryKind::kSum) {
     return Status::InvalidArgument("BuildCaseLp: MIN/MAX roots have no "
                                    "single-program form");
   }
+  // One (value, Ext) pair per tuple: 1 for COUNT(*), the SUM column's
+  // value otherwise.
+  std::vector<double> values(result.size(), 1.0);
+  if (c.query->kind == rel::QueryKind::kSum) {
+    LICM_ASSIGN_OR_RETURN(size_t col,
+                          result.schema().IndexOf(c.query->sum_column));
+    for (size_t i = 0; i < result.size(); ++i) {
+      const rel::Value& v = result.tuple(i)[col];
+      if (rel::TypeOf(v) == rel::ValueType::kString) {
+        return Status::InvalidArgument("BuildCaseLp: SUM over a string");
+      }
+      values[i] = rel::TypeOf(v) == rel::ValueType::kInt
+                      ? static_cast<double>(std::get<int64_t>(v))
+                      : std::get<double>(v);
+    }
+  }
+  const Objective obj = LinearObjective(values, result.exts());
   // Identity prune: every pool variable and every constraint stays, the
   // same program ComputeBounds builds with options.prune == false.
   const PruneResult all = KeepAll(db.constraints(), db.pool().size());

@@ -130,5 +130,39 @@ TEST(Harness, RunCellProducesConsistentBounds) {
   }
 }
 
+// The node LP is what proves the bipartite Query-1 cell (k = 4, 90
+// transactions, seed 43, one thread, 2000-node budget per component):
+// with it both sides are exact at [1, 6] within 92 nodes; without it the
+// search stops at the node budget with a side unproved.
+TEST(Harness, NodeLpProvesBipartiteQuery1) {
+  data::GeneratorConfig gen;
+  gen.num_transactions = 90;
+  gen.num_items = 120;
+  gen.seed = 43;
+  const data::TransactionDataset d = data::GenerateTransactions(gen);
+  auto groups = anonymize::SafeGrouping(d, {4, 2, 43});
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  auto enc = anonymize::EncodeBipartite(*groups, d);
+  ASSERT_TRUE(enc.ok()) << enc.status().ToString();
+  const rel::QueryNodePtr query = BuildBipartiteQuery(1, QueryParams{});
+
+  AnswerOptions opt;
+  opt.bounds.mip.num_threads = 1;
+  opt.bounds.mip.max_nodes_per_component = 2000;
+  opt.bounds.mip.time_limit_seconds = 3600.0;
+  auto with_lp = AnswerAggregate(*query, enc->db, opt);
+  ASSERT_TRUE(with_lp.ok()) << with_lp.status().ToString();
+  EXPECT_TRUE(with_lp->bounds.min.exact);
+  EXPECT_TRUE(with_lp->bounds.max.exact);
+  EXPECT_EQ(with_lp->bounds.min.value, 1.0);
+  EXPECT_EQ(with_lp->bounds.max.value, 6.0);
+  EXPECT_LE(with_lp->bounds.stats.nodes, 92);
+
+  opt.bounds.mip.use_lp_bound = false;
+  auto without_lp = AnswerAggregate(*query, enc->db, opt);
+  ASSERT_TRUE(without_lp.ok()) << without_lp.status().ToString();
+  EXPECT_FALSE(without_lp->bounds.min.exact && without_lp->bounds.max.exact);
+}
+
 }  // namespace
 }  // namespace licm::bench

@@ -648,21 +648,20 @@ TEST(AggregateCache, MinMaxProbesMatchUncached) {
   for (int iter = 0; iter < 60; ++iter) {
     const uint32_t num_vars = 3 + static_cast<uint32_t>(rng.Uniform(5));
     ConstraintSet cs = RandomConstraints(&rng, num_vars);
-    LicmRelation r(rel::Schema({{"val", rel::ValueType::kInt}}));
+    // One (value, Ext) pair per tuple of a one-column relation.
+    std::vector<double> vals;
+    std::vector<Ext> exts;
     for (BVar v = 0; v < num_vars; ++v) {
-      rel::Tuple t{static_cast<int64_t>(rng.Uniform(4))};
-      if (rng.Bernoulli(0.2)) {
-        r.AppendUnchecked(std::move(t), Ext::Certain());
-      } else {
-        r.AppendUnchecked(std::move(t), Ext::Maybe(v));
-      }
+      vals.push_back(static_cast<double>(rng.Uniform(4)));
+      exts.push_back(rng.Bernoulli(0.2) ? Ext::Certain() : Ext::Maybe(v));
     }
     for (bool is_max : {false, true}) {
       BoundsOptions cached, uncached;
       uncached.mip.use_cache = false;
-      auto with = ComputeMinMaxBounds(r, "val", cs, num_vars, is_max, cached);
+      auto with =
+          ComputeMinMaxBounds(vals, exts, cs, num_vars, is_max, cached);
       auto without =
-          ComputeMinMaxBounds(r, "val", cs, num_vars, is_max, uncached);
+          ComputeMinMaxBounds(vals, exts, cs, num_vars, is_max, uncached);
       ASSERT_EQ(with.ok(), without.ok()) << "iter " << iter;
       if (!with.ok()) continue;
       EXPECT_EQ(with->lo, without->lo) << "iter " << iter;

@@ -348,7 +348,7 @@ LinearProgram RandomBinaryProgram(uint64_t seed) {
   return lp;
 }
 
-// With every incremental-LP feature enabled (warm LP, RC fixing, cuts,
+// With every LP-core feature enabled (node LP, RC fixing, cuts,
 // pseudo-costs), the proved optimum must be bit-identical to brute-force
 // enumeration — RC fixing may discard alternative optima but never the
 // optimal *value*, and the returned witness must stay feasible + optimal.
@@ -359,11 +359,10 @@ TEST_P(RcFixingParity, FeaturesOnMatchesEnumeration) {
   BruteForce ref = Enumerate(lp);
   MipOptions opt;
   opt.num_threads = 1;
-  opt.use_warm_lp = true;
+  opt.use_lp_bound = true;
   opt.use_rc_fixing = true;
   opt.use_cuts = true;
   opt.use_pseudo_cost = true;
-  opt.use_adaptive_prologue = true;
   MipResult res = MipSolver(opt).Solve(lp, Sense::kMaximize);
   if (!ref.feasible) {
     EXPECT_EQ(res.status, SolveStatus::kInfeasible);
@@ -402,8 +401,9 @@ TEST(RcFixing, UniqueOptimumSurvives) {
   EXPECT_EQ(res.solution[c], 0.0);
 }
 
-// Feature ablation must not change proved bounds: all-on vs all-off on
-// random programs, both senses, exact double equality.
+// Feature ablation must not change proved bounds: all-on vs node LP off
+// (and with it every feature that consumes it) on random programs, both
+// senses, exact double equality.
 class FeatureParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(FeatureParity, OnOffBitIdenticalBounds) {
@@ -412,11 +412,7 @@ TEST_P(FeatureParity, OnOffBitIdenticalBounds) {
   MipOptions on;
   on.num_threads = 1;
   MipOptions off = on;
-  off.use_warm_lp = false;
-  off.use_rc_fixing = false;
-  off.use_cuts = false;
-  off.use_pseudo_cost = false;
-  off.use_adaptive_prologue = false;
+  off.use_lp_bound = false;
   MinMaxMipResult r_on = MipSolver(on).SolveMinMax(lp);
   MinMaxMipResult r_off = MipSolver(off).SolveMinMax(lp);
   ASSERT_EQ(r_on.max.status, r_off.max.status) << "seed " << GetParam();
