@@ -20,8 +20,7 @@ std::vector<BVar> ConstraintVars(const LinearConstraint& c) {
 
 }  // namespace
 
-MutableInstance::MutableInstance(LicmDatabase db, size_t cache_capacity)
-    : cache_(cache_capacity) {
+MutableInstance::MutableInstance(LicmDatabase db) {
   auto snap = std::make_shared<Snapshot>();
   snap->version = 1;
   snap->db = std::move(db);
@@ -289,9 +288,6 @@ Result<AggregateAnswer> MutableInstance::Answer(const rel::QueryNode& query,
   auto snap = snapshot();
   if (options.bounds.mip.cache == nullptr) {
     options.bounds.mip.cache = &cache_;
-  }
-  if (options.bounds.mip.incumbent_pool == nullptr) {
-    options.bounds.mip.incumbent_pool = &incumbents_;
   }
   LICM_TRACE_SPAN("incremental", "re_solve");
   return AnswerAggregate(query, snap->db, options);

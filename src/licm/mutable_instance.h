@@ -10,13 +10,14 @@
 // answering against it while later commits land (MVCC; DESIGN.md §13).
 //
 // Incremental re-solve falls out of content addressing rather than
-// explicit invalidation: the instance owns a ComponentCache and an
-// IncumbentPool keyed by canonical component fingerprints, so after a
-// mutation the untouched components re-canonicalize to their old keys and
-// are answered from cache (counted by ComponentCacheStats::
-// cross_epoch_hits — commits bump the cache epoch), while the touched
-// components' new fingerprints miss and are searched, warm-started from
-// pooled incumbents where a feasible point for the same form is known.
+// explicit invalidation: the instance owns a ComponentCache (of
+// ComponentCache::kDefaultCapacity entries) keyed by canonical component
+// fingerprints, so after a mutation the untouched components
+// re-canonicalize to their old keys and are answered from cache (counted by
+// ComponentCacheStats::cross_epoch_hits — commits bump the cache epoch),
+// while the touched components' new fingerprints miss and are searched.
+// Components above the cache's size cap are searched afresh every time;
+// the cache is the only state one answer leaves for the next.
 //
 // Dirty-set tracking: constraints are hyperedges over BVars, and a
 // solver::UnionFind (solver/components.h) over those hyperedges tells each
@@ -85,9 +86,7 @@ class MutableInstance {
     LicmDatabase db;
   };
 
-  explicit MutableInstance(
-      LicmDatabase db,
-      size_t cache_capacity = solver::ComponentCache::kDefaultCapacity);
+  explicit MutableInstance(LicmDatabase db);
 
   MutableInstance(const MutableInstance&) = delete;
   MutableInstance& operator=(const MutableInstance&) = delete;
@@ -127,14 +126,13 @@ class MutableInstance {
   MutationResult Replace(LicmDatabase db);
 
   /// Answers `query` against the current snapshot, wiring this instance's
-  /// component cache and incumbent pool into the solve unless the caller
-  /// already supplied their own. Callers may still set deadline, scheduler
-  /// and thread count in `options`.
+  /// component cache into the solve unless the caller already supplied
+  /// their own. Callers may still set deadline, scheduler and thread count
+  /// in `options`.
   Result<AggregateAnswer> Answer(const rel::QueryNode& query,
                                  AnswerOptions options = {}) const;
 
   solver::ComponentCache* cache() const { return &cache_; }
-  solver::IncumbentPool* incumbents() const { return &incumbents_; }
 
  private:
   // EditConstraint body; callers hold commit_mu_.
@@ -156,7 +154,6 @@ class MutableInstance {
   solver::UnionFind connectivity_;
 
   mutable solver::ComponentCache cache_;
-  mutable solver::IncumbentPool incumbents_;
 };
 
 }  // namespace licm

@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <array>
+#include <climits>
 #include <cstring>
 
 #include "common/metrics.h"
@@ -205,14 +206,24 @@ Result<service::WireRequest> DecodeRequestPayload(const std::string& payload) {
       case kId: req.id = ZigzagDecode(uval); break;
       case kOp: req.op = std::move(sval); break;
       case kInstance: req.instance = std::move(sval); break;
-      case kQnum: req.qnum = static_cast<int>(ZigzagDecode(uval)); break;
+      case kQnum: {
+        LICM_ASSIGN_OR_RETURN(
+            req.qnum,
+            service::NarrowIntField("qnum", ZigzagDecode(uval), INT_MIN));
+        break;
+      }
       case kDeadlineMs: {
         double d;
         std::memcpy(&d, &uval, sizeof(d));
         req.deadline_ms = d;
         break;
       }
-      case kMcWorlds: req.mc_worlds = static_cast<int>(ZigzagDecode(uval)); break;
+      case kMcWorlds: {
+        LICM_ASSIGN_OR_RETURN(
+            req.mc_worlds,
+            service::NarrowIntField("mc_worlds", ZigzagDecode(uval), 0));
+        break;
+      }
       case kSeed: req.seed = uval; break;
       case kAction: req.action = std::move(sval); break;
       case kRelation: req.relation = std::move(sval); break;

@@ -236,6 +236,12 @@ Result<int64_t> JsonValue::GetInt(const std::string& key, int64_t def) const {
   if (d != std::floor(d)) {
     return Status::InvalidArgument("field '" + key + "' must be an integer");
   }
+  // [-2^63, 2^63) is exactly the set of doubles that convert to int64_t;
+  // the conversion of anything else (1e300, inf) is undefined.
+  if (!(d >= -0x1p63 && d < 0x1p63)) {
+    return Status::InvalidArgument("field '" + key +
+                                   "' is out of the 64-bit integer range");
+  }
   return static_cast<int64_t>(d);
 }
 

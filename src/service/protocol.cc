@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include <cinttypes>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 
@@ -71,13 +72,10 @@ Result<WireRequest> ParseRequestLine(const std::string& line) {
   }
   LICM_ASSIGN_OR_RETURN(req.instance, root.GetString("instance", ""));
   LICM_ASSIGN_OR_RETURN(int64_t qnum, root.GetInt("qnum", 1));
-  req.qnum = static_cast<int>(qnum);
+  LICM_ASSIGN_OR_RETURN(req.qnum, NarrowIntField("qnum", qnum, INT_MIN));
   LICM_ASSIGN_OR_RETURN(req.deadline_ms, root.GetNumber("deadline_ms", -1.0));
   LICM_ASSIGN_OR_RETURN(int64_t worlds, root.GetInt("mc_worlds", 0));
-  if (worlds < 0) {
-    return Status::InvalidArgument("mc_worlds must be non-negative");
-  }
-  req.mc_worlds = static_cast<int>(worlds);
+  LICM_ASSIGN_OR_RETURN(req.mc_worlds, NarrowIntField("mc_worlds", worlds, 0));
   LICM_ASSIGN_OR_RETURN(int64_t seed, root.GetInt("seed", 0));
   req.seed = static_cast<uint64_t>(seed);
   LICM_ASSIGN_OR_RETURN(req.action, root.GetString("action", ""));
@@ -92,6 +90,15 @@ Result<WireRequest> ParseRequestLine(const std::string& line) {
   LICM_ASSIGN_OR_RETURN(req.spec, root.GetString("spec", ""));
   LICM_ASSIGN_OR_RETURN(req.replace, root.GetBool("replace", false));
   return req;
+}
+
+Result<int> NarrowIntField(const char* name, int64_t value, int64_t min) {
+  if (value < min || value > INT_MAX) {
+    return Status::InvalidArgument(
+        std::string("field '") + name + "' must be in [" +
+        std::to_string(min) + ", " + std::to_string(INT_MAX) + "]");
+  }
+  return static_cast<int>(value);
 }
 
 std::string RenderError(int64_t id, const Status& status) {

@@ -81,6 +81,13 @@ struct WireRequest {
 /// compatibility); wrongly typed known fields are errors.
 Result<WireRequest> ParseRequestLine(const std::string& line);
 
+/// Narrows a decoded 64-bit request field to one of WireRequest's int
+/// fields, rejecting a value outside [min, INT_MAX] with InvalidArgument
+/// instead of wrapping it. Both codecs (this one and net/wire.h's binary
+/// one) decode `qnum` and `mc_worlds` through it, so they accept and
+/// reject the same values.
+Result<int> NarrowIntField(const char* name, int64_t value, int64_t min);
+
 /// Response renderers. Each returns one JSON object without the trailing
 /// newline; the transport appends it.
 std::string RenderError(int64_t id, const Status& status);

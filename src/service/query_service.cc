@@ -155,8 +155,7 @@ Status QueryService::LoadInstance(
     auto it = instances_.find(name);
     if (it == instances_.end()) {
       Instance entry;
-      entry.inst = std::make_shared<MutableInstance>(std::move(db),
-                                                     config_.cache_capacity);
+      entry.inst = std::make_shared<MutableInstance>(std::move(db));
       entry.structure = std::move(structure_ptr);
       SetVersionGauge(name, entry.inst->version());
       instances_.emplace(std::move(name), std::move(entry));
@@ -446,7 +445,6 @@ Result<QueryResponse> QueryService::Process(const Pending& pending,
   AnswerOptions options;
   options.bounds.mip.deadline = &pending.deadline;
   options.bounds.mip.cache = pending.inst->cache();
-  options.bounds.mip.incumbent_pool = pending.inst->incumbents();
   options.bounds.mip.scheduler = &scheduler_;
 
   telemetry::ScopedSpan solve_span("service", "solve");

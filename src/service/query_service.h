@@ -16,10 +16,11 @@
 // the exact BIP solve hits the deadline, the service degrades gracefully:
 // it returns the proved outer interval widened by a Monte-Carlo sample of
 // possible worlds, tagged `degraded=true`, instead of failing the
-// request. All requests share one solver Scheduler; each instance owns a
-// ComponentCache + IncumbentPool (licm/mutable_instance.h), so isomorphic
-// components recur across requests — and across mutation commits — for
-// free, while mutations on one instance can never evict another's entries.
+// request. All requests share one solver Scheduler; each instance owns its
+// own ComponentCache of proved component results (licm/mutable_instance.h),
+// so isomorphic components recur across requests — and across mutation
+// commits — for free, while one instance's traffic can never evict
+// another's entries.
 //
 // Instances are versioned and mutable (MVCC): Execute() captures the
 // instance's snapshot at admission, so a request admitted before a
@@ -79,8 +80,6 @@ struct ServiceConfig {
   /// Worker threads of the shared solver scheduler (0 auto-detects); all
   /// requests pool this capacity.
   int solver_threads = 0;
-  /// Capacity of the shared isomorphic-component solve cache.
-  size_t cache_capacity = solver::ComponentCache::kDefaultCapacity;
   /// Latency SLO: a completed request whose total_ms exceeds this is
   /// captured into the slow-query ring (phase breakdown + solver stats).
   /// 0 captures every request; negative disables capture.

@@ -152,20 +152,6 @@ class ComponentSearch {
     }
   }
 
-  /// Seeds the shared incumbent with a candidate feasible point before
-  /// Run(). The candidate is re-validated against the concrete program
-  /// (bounds, integrality, rows); an infeasible point is rejected and
-  /// false returned, so a stale pool entry can never corrupt a proof.
-  /// A seeded incumbent only prunes — the optimum is unchanged, the
-  /// prologue may just find the root gap already closed.
-  bool SeedIncumbent(std::vector<double> x) {
-    if (x.size() != lp_.num_vars()) return false;
-    if (!lp_.IsFeasible(x, kTol)) return false;
-    const double val = lp_.EvalObjective(x);
-    OfferIncumbent(val, std::move(x));
-    return true;
-  }
-
   ComponentResult Run() {
     ComponentResult res;
     // CPU accounting of the single-threaded prologue (root propagation,
@@ -1235,25 +1221,16 @@ std::vector<ComponentResult> SolveBatch(
   std::vector<bool> use_cache(n, false);
   std::vector<std::vector<size_t>> group_members;  // ordered by first member
   std::vector<int32_t> group_of_rep(n, -1);
-  // Components too large for the memo cache are still fingerprinted when an
-  // incumbent pool is present: the pool's warm starts are exactly for the
-  // solves the cache cannot short-cut (see MipOptions::incumbent_pool).
-  std::vector<bool> use_pool(n, false);
-  if (opt.cache || opt.incumbent_pool) {
+  if (opt.cache) {
     LICM_TRACE_SPAN("solver", "canonicalize");
     std::unordered_map<std::string_view, size_t> group_of;
     for (size_t i = 0; i < n; ++i) {
-      if (programs[i]->num_rows() == 0) continue;
-      const bool cacheable =
-          opt.cache != nullptr &&
-          programs[i]->num_vars() <= kCacheMaxComponentVars;
-      if (!cacheable && opt.incumbent_pool == nullptr) continue;
-      forms[i] = Canonicalize(*programs[i]);
-      ++stats->canonical_forms;
-      if (!cacheable) {
-        use_pool[i] = true;
+      if (programs[i]->num_rows() == 0 ||
+          programs[i]->num_vars() > kCacheMaxComponentVars) {
         continue;
       }
+      forms[i] = Canonicalize(*programs[i]);
+      ++stats->canonical_forms;
       use_cache[i] = true;
       auto [it, fresh] = group_of.try_emplace(std::string_view(forms[i].key),
                                               group_members.size());
@@ -1275,26 +1252,8 @@ std::vector<ComponentResult> SolveBatch(
   }
   std::vector<uint8_t> rep_hit(group_members.size(), 0);
 
-  // Warm-start plumbing shared by both run_task arms: seed the search with
-  // the pooled feasible point for this form (if it validates), and pool the
-  // search's own best point afterwards — any status, a time-limited
-  // incumbent is still a feasible point worth keeping.
-  auto seed_from_pool = [&](ComponentSearch* search, const CanonicalForm& f,
-                            MipStats* task_stats) {
-    if (opt.incumbent_pool == nullptr) return;
-    std::vector<double> warm;
-    if (opt.incumbent_pool->Fetch(f, &warm) &&
-        search->SeedIncumbent(std::move(warm))) {
-      ++task_stats->warm_incumbents;
-    }
-  };
-  auto store_to_pool = [&](const ComponentResult& res,
-                           const CanonicalForm& f) {
-    if (opt.incumbent_pool != nullptr && res.has_solution) {
-      opt.incumbent_pool->Store(f, res.objective, res.solution);
-    }
-  };
-
+  // Look up if cacheable, otherwise search; a proved search result of a
+  // cacheable program is memoized for later batches.
   auto run_task = [&](size_t i, MipStats* task_stats) {
     if (use_cache[i]) {
       ComponentCache::Entry entry;
@@ -1307,34 +1266,24 @@ std::vector<ComponentResult> SolveBatch(
       }
       telemetry::Instant("cache", "cache_miss",
                          {{"component", static_cast<double>(i)}});
-      telemetry::ScopedSpan span("solver", "search");
-      span.AddArg("component", static_cast<double>(i));
-      ComponentSearch search(*programs[i], opt, task_stats,
-                             static_cast<int64_t>(i));
-      seed_from_pool(&search, forms[i], task_stats);
-      results[i] = search.Run();
-      const ComponentResult& res = results[i];
-      store_to_pool(res, forms[i]);
-      if (res.status == SolveStatus::kOptimal ||
-          res.status == SolveStatus::kInfeasible) {
-        ComponentCache::Entry ins;
-        ins.status = res.status;
-        ins.objective = res.objective;
-        ins.has_solution = res.has_solution;
-        if (res.has_solution) {
-          ins.solution = InputToCanonical(forms[i], res.solution);
-        }
-        opt.cache->Insert(forms[i], std::move(ins));
-      }
-      return;
     }
     telemetry::ScopedSpan span("solver", "search");
     span.AddArg("component", static_cast<double>(i));
     ComponentSearch search(*programs[i], opt, task_stats,
                            static_cast<int64_t>(i));
-    if (use_pool[i]) seed_from_pool(&search, forms[i], task_stats);
     results[i] = search.Run();
-    if (use_pool[i]) store_to_pool(results[i], forms[i]);
+    const ComponentResult& res = results[i];
+    if (use_cache[i] && (res.status == SolveStatus::kOptimal ||
+                         res.status == SolveStatus::kInfeasible)) {
+      ComponentCache::Entry ins;
+      ins.status = res.status;
+      ins.objective = res.objective;
+      ins.has_solution = res.has_solution;
+      if (res.has_solution) {
+        ins.solution = InputToCanonical(forms[i], res.solution);
+      }
+      opt.cache->Insert(forms[i], std::move(ins));
+    }
   };
 
   const int threads = scheduler == nullptr ? 1 : scheduler->num_threads();
@@ -1484,7 +1433,6 @@ void MipStats::MergeFrom(const MipStats& other) {
   max_resolve_pivots = std::max(max_resolve_pivots, other.max_resolve_pivots);
   rc_fixed_vars += other.rc_fixed_vars;
   cuts_generated += other.cuts_generated;
-  warm_incumbents += other.warm_incumbents;
   strong_branch_solves += other.strong_branch_solves;
   num_threads = std::max(num_threads, other.num_threads);
   // Wall time keeps the outermost (concurrent strands overlap in time);
@@ -1523,10 +1471,7 @@ void RecordSolveMetrics(const MipStats& s) {
       reg.GetCounter("licm_solver_subtree_steals_total");
   static metrics::Counter* donations =
       reg.GetCounter("licm_solver_subtree_donations_total");
-  static metrics::Counter* warm =
-      reg.GetCounter("licm_solver_warm_incumbents_total");
   solves->Increment();
-  warm->Increment(static_cast<int64_t>(s.warm_incumbents));
   nodes->Increment(static_cast<int64_t>(s.nodes));
   lp_solves->Increment(static_cast<int64_t>(s.lp_solves));
   pivots->Increment(static_cast<int64_t>(s.lp_pivots));

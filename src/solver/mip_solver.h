@@ -19,7 +19,6 @@
 namespace licm::solver {
 
 class ComponentCache;
-class IncumbentPool;
 class Scheduler;
 
 struct MipOptions {
@@ -41,7 +40,10 @@ struct MipOptions {
   /// sub-program up to variable renaming — are solved once and answered by
   /// permutation thereafter.
   bool use_cache = true;
-  /// Cache shared across solver calls. When null and use_cache is set,
+  /// Cache shared across solver calls, and the only state a solve carries
+  /// into later ones: proved component results keyed by canonical form.
+  /// Components of more than 512 variables are never fingerprinted and
+  /// bypass it. When null and use_cache is set,
   /// each call gets a private cache (SolveResources), which still dedupes
   /// isomorphic components within the call.
   ComponentCache* cache = nullptr;
@@ -66,13 +68,6 @@ struct MipOptions {
   /// fractional relaxation vertices, shared by every search strand of a
   /// component.
   bool use_cuts = true;
-  /// Cross-call warm starts keyed by canonical form (see solve_cache.h):
-  /// the best feasible point of every searched component is pooled, and a
-  /// later solve of the same form seeds its search with the pooled point
-  /// (after re-checking feasibility against the concrete program). This is
-  /// how a versioned instance's re-solve skips the prologue of components
-  /// the cache could not memoize — too large, or previously time-limited.
-  IncumbentPool* incumbent_pool = nullptr;
   /// Pseudo-cost branching seeded by strong branching at the component
   /// root, replacing the most-fractional rule when relaxation data is
   /// available (falls back to the structural heuristic otherwise).
@@ -140,9 +135,6 @@ struct MipStats {
   int64_t rc_fixed_vars = 0;
   /// Cut rows separated by this solve.
   int64_t cuts_generated = 0;
-  /// Component searches seeded with a feasible point from the incumbent
-  /// pool (the point passed the pre-seed feasibility re-check).
-  int64_t warm_incumbents = 0;
   /// Strong-branching probe solves at component roots.
   int64_t strong_branch_solves = 0;
   /// Resolved executor count of the solve (MergeFrom keeps the max).

@@ -47,19 +47,6 @@ uint64_t ComponentCache::epoch() const {
   return epoch_;
 }
 
-size_t ComponentCache::EraseKeys(const std::vector<std::string>& keys) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t erased = 0;
-  for (const std::string& key : keys) {
-    auto it = index_.find(std::string_view(key));
-    if (it == index_.end()) continue;
-    lru_.erase(it->second);
-    index_.erase(it);
-    ++erased;
-  }
-  return erased;
-}
-
 size_t ComponentCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
@@ -68,53 +55,6 @@ size_t ComponentCache::size() const {
 ComponentCacheStats ComponentCache::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-void ComponentCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  index_.clear();
-  lru_.clear();
-}
-
-bool IncumbentPool::Fetch(const CanonicalForm& form, std::vector<double>* x) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(std::string_view(form.key));
-  if (it == index_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++hits_;
-  *x = CanonicalToInput(form, it->second->x);
-  return true;
-}
-
-void IncumbentPool::Store(const CanonicalForm& form, double objective,
-                          const std::vector<double>& x) {
-  std::vector<double> canonical = InputToCanonical(form, x);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(std::string_view(form.key));
-  if (it != index_.end()) {
-    if (objective > it->second->objective) {
-      it->second->objective = objective;
-      it->second->x = std::move(canonical);
-    }
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  while (lru_.size() >= capacity_) {
-    index_.erase(std::string_view(lru_.back().key));
-    lru_.pop_back();
-  }
-  lru_.push_front(Node{form.key, objective, std::move(canonical)});
-  index_.emplace(std::string_view(lru_.front().key), lru_.begin());
-}
-
-size_t IncumbentPool::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
-int64_t IncumbentPool::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
 }
 
 }  // namespace licm::solver

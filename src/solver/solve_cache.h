@@ -8,10 +8,16 @@
 // results (kOptimal / kInfeasible) are stored; time-limited results are
 // never cached because their bounds depend on the limits in force.
 //
+// It is the solver's only memory across calls: nothing else a search
+// learns (incumbents, pseudo-costs, cuts) outlives the call. Components
+// above the cache's size cap (512 variables, mip_solver.cc) are never
+// fingerprinted, so the cache costs them nothing.
+//
 // Thread-safe: MipSolver consults it from its component worker threads, and
 // one cache can be shared across solver calls (both senses of a bound
-// computation, or a whole sequence of MIN/MAX probes). Bounded by an LRU
-// policy so long-running servers cannot grow it without limit.
+// computation, a whole sequence of MIN/MAX probes, or every version of a
+// MutableInstance). Bounded by an LRU policy of kDefaultCapacity entries
+// so long-running servers cannot grow it without limit.
 #ifndef LICM_SOLVER_SOLVE_CACHE_H_
 #define LICM_SOLVER_SOLVE_CACHE_H_
 
@@ -68,9 +74,7 @@ class ComponentCache {
   bool Insert(const CanonicalForm& form, Entry entry);
 
   size_t size() const;
-  size_t capacity() const { return capacity_; }
   ComponentCacheStats Snapshot() const;
-  void Clear();
 
   /// Starts a new epoch. Entries themselves are untouched — canonical keys
   /// are content hashes, so a mutation that changes a component changes its
@@ -78,12 +82,6 @@ class ComponentCache {
   /// from earlier epochs are tallied as cross_epoch_hits.
   void BumpEpoch();
   uint64_t epoch() const;
-
-  /// Drops every entry whose key is in `keys` (exact match). Returns the
-  /// number of entries removed. Mutation commits use this to retire the
-  /// touched components' fingerprints eagerly instead of waiting for LRU
-  /// pressure.
-  size_t EraseKeys(const std::vector<std::string>& keys);
 
   static constexpr size_t kDefaultCapacity = 1 << 16;
 
@@ -100,58 +98,6 @@ class ComponentCache {
   std::unordered_map<std::string_view, std::list<Node>::iterator> index_;
   ComponentCacheStats stats_;
   uint64_t epoch_ = 0;
-};
-
-/// LRU pool of best-known *feasible* solutions keyed by canonical form.
-///
-/// Complements ComponentCache for the parts of a solve it cannot serve:
-/// components above the cache size cap are never memoized, and
-/// time-limited searches produce incumbents whose optimality was not
-/// proved. Both still yield feasible points that remain valid whenever the
-/// same canonical form is solved again — e.g. the untouched components of
-/// a versioned instance after a mutation commit. MipSolver seeds
-/// ComponentSearch with a pooled incumbent (after re-checking feasibility
-/// against the concrete program, so a stale entry can never corrupt a
-/// proof), which lets the root gap close immediately on re-solves.
-///
-/// Solutions are stored in canonical variable space and translated through
-/// the component's CanonicalForm on Store and Fetch. Thread-safe.
-class IncumbentPool {
- public:
-  explicit IncumbentPool(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  IncumbentPool(const IncumbentPool&) = delete;
-  IncumbentPool& operator=(const IncumbentPool&) = delete;
-
-  /// On a hit, fills `*x` with the pooled solution translated into input
-  /// variable space, marks the entry most recently used, and returns true.
-  /// Callers must validate feasibility before trusting the point.
-  bool Fetch(const CanonicalForm& form, std::vector<double>* x);
-
-  /// Stores `x` (input variable space, objective value `objective`) for
-  /// `form`. Keeps whichever of the old and new entry has the better
-  /// (larger — solves are maximization-oriented) objective.
-  void Store(const CanonicalForm& form, double objective,
-             const std::vector<double>& x);
-
-  size_t size() const;
-  int64_t hits() const;
-
-  static constexpr size_t kDefaultCapacity = 1 << 14;
-
- private:
-  struct Node {
-    std::string key;
-    double objective = 0.0;
-    std::vector<double> x;  // canonical variable space
-  };
-
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::list<Node> lru_;
-  std::unordered_map<std::string_view, std::list<Node>::iterator> index_;
-  int64_t hits_ = 0;
 };
 
 }  // namespace licm::solver

@@ -570,8 +570,8 @@ InvariantReport CheckIncremental(const CaseContext& ctx) {
   const char* name = "incremental";
   // A MutableInstance seeded from the case and an independently maintained
   // shadow database receive the same seeded mutation sequence; after every
-  // step the instance's warm answer (per-instance cache + incumbent pool
-  // carried across versions) must be bit-identical to a cold
+  // step the instance's warm answer (per-instance component cache carried
+  // across versions) must be bit-identical to a cold
   // AnswerAggregate on the shadow — including error codes, since random
   // constraint edits can make the instance infeasible.
   MutableInstance inst(ctx.c->db);

@@ -305,6 +305,48 @@ TEST(MutableInstance, CrossVersionCacheServesUntouchedComponents) {
   EXPECT_EQ(scratch->bounds.max.exact, warm->bounds.max.exact);
 }
 
+// 600 maybe-tuples b0..b599 tied into one connected component by
+// b_i <= b0: more variables than the solve cache admits (512), yet both
+// sides close at the root (all-zero and all-one are feasible).
+LicmDatabase MakeOneWideComponentDb() {
+  LicmDatabase db;
+  LicmRelation r(rel::Schema({{"id", rel::ValueType::kInt}}));
+  for (int64_t i = 0; i < 600; ++i) {
+    r.AppendUnchecked({i}, Ext::Maybe(db.pool().New()));
+  }
+  EXPECT_TRUE(db.AddRelation("t", std::move(r)).ok());
+  for (BVar v = 1; v < 600; ++v) {
+    LinearConstraint c;
+    c.terms = {{v, 1}, {0, -1}};
+    c.op = ConstraintOp::kLe;
+    c.rhs = 0;
+    db.constraints().Add(c);
+  }
+  return db;
+}
+
+TEST(MutableInstance, ComponentsAboveCacheCapAreNeverFingerprinted) {
+  MutableInstance inst(MakeOneWideComponentDb());
+  const rel::QueryNodePtr query = rel::CountStar(rel::Scan("t"));
+  auto first = inst.Answer(*query);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = inst.Answer(*query);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+
+  // The component is searched afresh both times: the cache is the only
+  // memory across answers, and it cannot hold a component this wide, so
+  // fingerprinting it would be pure cost.
+  for (const auto* a : {&*first, &*second}) {
+    EXPECT_EQ(1u, a->bounds.stats.components);
+    EXPECT_EQ(0, a->bounds.stats.canonical_forms);
+    EXPECT_EQ(0.0, a->bounds.min.value);
+    EXPECT_EQ(600.0, a->bounds.max.value);
+    EXPECT_TRUE(a->bounds.min.exact);
+    EXPECT_TRUE(a->bounds.max.exact);
+  }
+  EXPECT_EQ(0, inst.cache()->Snapshot().inserts);
+}
+
 TEST(MutableInstance, CommitsLeaveHeldSnapshotRelationsAlone) {
   LicmDatabase db = MakeTwoComponentDb();
   LicmRelation other(rel::Schema({{"id", rel::ValueType::kInt}}));

@@ -175,6 +175,49 @@ TEST(RequestPayload, UnknownFieldsAreSkipped) {
   ExpectRequestsEqual(req, *decoded);
 }
 
+// A query payload carrying one signed varint field `field` = `value`.
+std::string QueryPayloadWith(uint32_t field, int64_t value) {
+  service::WireRequest req;
+  req.op = "query";
+  std::string payload = EncodeRequestPayload(req);
+  AppendVarint(&payload, field << 2);  // varint wiretype
+  AppendVarint(&payload, ZigzagEncode(value));
+  return payload;
+}
+
+// qnum (field 4) and mc_worlds (field 6) are int on both codecs: a value
+// that does not fit, or a negative world count, is a typed error on the
+// binary wire exactly as on the JSON line, never a wrapped number.
+TEST(RequestPayload, OutOfRangeIntFieldsAreRejectedLikeJson) {
+  struct Case {
+    uint32_t field;
+    const char* json_key;
+    int64_t value;
+    bool ok;
+  };
+  const Case cases[] = {
+      {4, "qnum", 4294967297LL, false}, {4, "qnum", -4294967297LL, false},
+      {4, "qnum", 2147483647LL, true},  {4, "qnum", -3, true},
+      {6, "mc_worlds", -1, false},      {6, "mc_worlds", 4294967296LL, false},
+      {6, "mc_worlds", 2147483647LL, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.json_key) + "=" + std::to_string(c.value));
+    auto binary = DecodeRequestPayload(QueryPayloadWith(c.field, c.value));
+    auto json = service::ParseRequestLine(
+        std::string(R"({"op":"query",")") + c.json_key +
+        "\":" + std::to_string(c.value) + "}");
+    ASSERT_EQ(binary.ok(), c.ok);
+    ASSERT_EQ(json.ok(), c.ok);
+    if (!c.ok) {
+      EXPECT_EQ(binary.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(binary.status().message(), json.status().message());
+    } else {
+      ExpectRequestsEqual(*binary, *json);
+    }
+  }
+}
+
 TEST(RequestPayload, TruncatedPayloadIsRejected) {
   service::WireRequest req;
   req.op = "query";

@@ -147,6 +147,31 @@ TEST(Protocol, MissingOpAndMistypedFieldsAreTypedErrors) {
   EXPECT_FALSE(ParseRequestLine(R"([1,2,3])").ok());
 }
 
+TEST(Protocol, OutOfRangeIntegersAreTypedErrors) {
+  // Past the int fields' range: rejected, not answered as Q1 / default.
+  for (const char* line :
+       {R"({"op":"query","qnum":4294967297})",
+        R"({"op":"query","mc_worlds":4294967296})",
+        R"({"op":"query","qnum":-2147483649})",
+        // Past int64_t: converting these doubles would be undefined.
+        R"({"op":"query","id":1e300})", R"({"op":"query","id":-1e300})",
+        R"({"op":"query","id":9223372036854775808})",
+        R"({"op":"mutate","rhs":1e19})"}) {
+    auto req = ParseRequestLine(line);
+    ASSERT_FALSE(req.ok()) << line;
+    EXPECT_EQ(StatusCode::kInvalidArgument, req.status().code()) << line;
+  }
+  // The ends of each range still parse.
+  auto lo = ParseRequestLine(R"({"op":"query","id":-9223372036854775808})");
+  ASSERT_TRUE(lo.ok()) << lo.status().ToString();
+  EXPECT_EQ(INT64_MIN, lo->id);
+  auto hi = ParseRequestLine(
+      R"({"op":"query","qnum":2147483647,"mc_worlds":2147483647})");
+  ASSERT_TRUE(hi.ok()) << hi.status().ToString();
+  EXPECT_EQ(2147483647, hi->qnum);
+  EXPECT_EQ(2147483647, hi->mc_worlds);
+}
+
 TEST(Protocol, RenderedResponsesParseBack) {
   QueryResponse r;
   r.degraded = true;

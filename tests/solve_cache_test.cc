@@ -209,9 +209,6 @@ TEST(ComponentCacheTest, LruEvictionAndCounters) {
   EXPECT_EQ(s.misses, 2);
   EXPECT_EQ(s.inserts, 3);
   EXPECT_EQ(s.evictions, 1);
-
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(ComponentCacheTest, EntriesRoundTrip) {
@@ -283,76 +280,6 @@ TEST(ComponentCacheTest, EpochCountsCrossVersionHits) {
   EXPECT_TRUE(cache.Lookup(a, &e));
   EXPECT_TRUE(cache.Lookup(b, &e));
   EXPECT_EQ(cache.Snapshot().cross_epoch_hits, 3);
-}
-
-TEST(ComponentCacheTest, EraseKeysRetiresExactFingerprints) {
-  ComponentCache cache;
-  CanonicalForm a = FormWithRhs(1), b = FormWithRhs(2), c = FormWithRhs(3);
-  ComponentCache::Entry e;
-  e.status = SolveStatus::kOptimal;
-  ASSERT_TRUE(cache.Insert(a, e));
-  ASSERT_TRUE(cache.Insert(b, e));
-  ASSERT_TRUE(cache.Insert(c, e));
-
-  EXPECT_EQ(cache.EraseKeys({a.key, "no-such-fingerprint"}), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.Lookup(a, &e));
-  EXPECT_TRUE(cache.Lookup(b, &e));
-  EXPECT_TRUE(cache.Lookup(c, &e));
-  EXPECT_EQ(cache.EraseKeys({}), 0u);
-}
-
-// ---- IncumbentPool ----
-
-TEST(IncumbentPoolTest, TranslatesSolutionsAcrossIsomorphs) {
-  LinearProgram lp;
-  for (int v = 0; v < 3; ++v) lp.AddBinary();
-  lp.SetObjectiveCoef(0, 1.0);
-  lp.SetObjectiveCoef(1, 2.0);
-  lp.SetObjectiveCoef(2, 1.0);
-  lp.AddRow(Row{{{0, 1}, {1, 1}, {2, 1}}, RowOp::kLe, 2});
-
-  Rng rng(17);
-  LinearProgram iso =
-      PermuteProgram(lp, RandomPermutation(lp.num_vars(), &rng), &rng);
-  CanonicalForm a = Canonicalize(lp);
-  CanonicalForm b = Canonicalize(iso);
-  ASSERT_EQ(a.key, b.key);
-
-  solver::IncumbentPool pool;
-  std::vector<double> x = {1.0, 1.0, 0.0};
-  ASSERT_TRUE(lp.IsFeasible(x));
-  pool.Store(a, lp.EvalObjective(x), x);
-  EXPECT_EQ(pool.size(), 1u);
-
-  // Fetching through the isomorph's form lands a point that is feasible
-  // for the isomorph and worth the same objective.
-  std::vector<double> mapped;
-  ASSERT_TRUE(pool.Fetch(b, &mapped));
-  EXPECT_TRUE(iso.IsFeasible(mapped));
-  EXPECT_DOUBLE_EQ(iso.EvalObjective(mapped), lp.EvalObjective(x));
-  EXPECT_EQ(pool.hits(), 1);
-
-  std::vector<double> none;
-  EXPECT_FALSE(pool.Fetch(FormWithRhs(7), &none));
-}
-
-TEST(IncumbentPoolTest, KeepsTheBetterIncumbent) {
-  LinearProgram lp;
-  for (int v = 0; v < 2; ++v) lp.AddBinary();
-  lp.SetObjectiveCoef(0, 1.0);
-  lp.SetObjectiveCoef(1, 1.0);
-  lp.AddRow(Row{{{0, 1}, {1, 1}}, RowOp::kLe, 2});
-  CanonicalForm f = Canonicalize(lp);
-
-  solver::IncumbentPool pool;
-  pool.Store(f, 1.0, {1.0, 0.0});
-  pool.Store(f, 2.0, {1.0, 1.0});  // better: replaces
-  pool.Store(f, 0.0, {0.0, 0.0});  // worse: ignored
-  std::vector<double> x;
-  ASSERT_TRUE(pool.Fetch(f, &x));
-  EXPECT_DOUBLE_EQ(lp.EvalObjective(x), 2.0);
-  EXPECT_EQ(pool.size(), 1u);
 }
 
 // ---- MipStats ----
@@ -454,27 +381,6 @@ TEST(SolveMinMax, MatchesSeparateSolves) {
       }
     }
   }
-}
-
-TEST(IncumbentPoolTest, WarmStartsUncacheableResolves) {
-  // With the memo cache off, the pool is the only carrier across solves:
-  // the second run must seed incumbents from the first and still produce
-  // bit-identical results.
-  Rng rng(53);
-  LinearProgram lp = RandomProgram(&rng, 10);
-  solver::IncumbentPool pool;
-  MipOptions opt;
-  opt.use_cache = false;
-  opt.incumbent_pool = &pool;
-  MipSolver solver(opt);
-
-  const solver::MinMaxMipResult cold = solver.SolveMinMax(lp);
-  if (!cold.min.has_solution) GTEST_SKIP() << "random program infeasible";
-  ASSERT_GT(pool.size(), 0u);
-  const solver::MinMaxMipResult warm = solver.SolveMinMax(lp);
-  EXPECT_GT(warm.stats.warm_incumbents, 0);
-  ExpectSameResult(warm.min, cold.min);
-  ExpectSameResult(warm.max, cold.max);
 }
 
 // ---- Aggregate layer ----
