@@ -224,7 +224,10 @@ Result<service::WireRequest> DecodeRequestPayload(const std::string& payload) {
             service::NarrowIntField("mc_worlds", ZigzagDecode(uval), 0));
         break;
       }
-      case kSeed: req.seed = uval; break;
+      case kSeed: {
+        LICM_ASSIGN_OR_RETURN(req.seed, service::NarrowSeedField(uval));
+        break;
+      }
       case kAction: req.action = std::move(sval); break;
       case kRelation: req.relation = std::move(sval); break;
       case kRow: req.row = std::move(sval); break;

@@ -77,7 +77,7 @@ Result<WireRequest> ParseRequestLine(const std::string& line) {
   LICM_ASSIGN_OR_RETURN(int64_t worlds, root.GetInt("mc_worlds", 0));
   LICM_ASSIGN_OR_RETURN(req.mc_worlds, NarrowIntField("mc_worlds", worlds, 0));
   LICM_ASSIGN_OR_RETURN(int64_t seed, root.GetInt("seed", 0));
-  req.seed = static_cast<uint64_t>(seed);
+  LICM_ASSIGN_OR_RETURN(req.seed, NarrowSeedField(seed));
   LICM_ASSIGN_OR_RETURN(req.action, root.GetString("action", ""));
   LICM_ASSIGN_OR_RETURN(req.relation, root.GetString("relation", ""));
   LICM_ASSIGN_OR_RETURN(req.row, root.GetString("row", ""));
@@ -99,6 +99,20 @@ Result<int> NarrowIntField(const char* name, int64_t value, int64_t min) {
         std::to_string(min) + ", " + std::to_string(INT_MAX) + "]");
   }
   return static_cast<int>(value);
+}
+
+static Status SeedOutOfRange() {
+  return Status::InvalidArgument("field 'seed' must be in [0, 2^53]");
+}
+
+Result<uint64_t> NarrowSeedField(uint64_t value) {
+  if (value > kMaxWireSeed) return SeedOutOfRange();
+  return value;
+}
+
+Result<uint64_t> NarrowSeedField(int64_t value) {
+  if (value < 0) return SeedOutOfRange();
+  return NarrowSeedField(static_cast<uint64_t>(value));
 }
 
 std::string RenderError(int64_t id, const Status& status) {

@@ -13,7 +13,8 @@
 //                 "deadline_ms": number,   // query: wall budget, 0 =>
 //                                          //   degrade immediately
 //                 "mc_worlds": number,     // query: degraded sample size
-//                 "seed": number,          // query: degraded sample seed
+//                 "seed": number,          // query: degraded sample seed,
+//                                          //   an integer in [0, 2^53]
 //                 "action": "append" | "retract" | "edit" | "fix",
 //                                          // mutate: which mutation
 //                 "relation": string,      // append/retract: target
@@ -87,6 +88,18 @@ Result<WireRequest> ParseRequestLine(const std::string& line);
 /// one) decode `qnum` and `mc_worlds` through it, so they accept and
 /// reject the same values.
 Result<int> NarrowIntField(const char* name, int64_t value, int64_t min);
+
+/// Largest request `seed` either codec accepts: 2^53, the top of the range
+/// in which a JSON number (a double) holds every integer exactly, so each
+/// accepted seed has exactly one value in both codecs.
+inline constexpr uint64_t kMaxWireSeed = uint64_t{1} << 53;
+
+/// Narrows a decoded `seed` to [0, kMaxWireSeed], rejecting any other
+/// value with InvalidArgument instead of wrapping it. The JSON parser
+/// passes the signed integer it decoded, the binary decoder its unsigned
+/// varint; both get the same range and the same message.
+Result<uint64_t> NarrowSeedField(int64_t value);
+Result<uint64_t> NarrowSeedField(uint64_t value);
 
 /// Response renderers. Each returns one JSON object without the trailing
 /// newline; the transport appends it.

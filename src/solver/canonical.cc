@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <string_view>
 
 namespace licm::solver {
 
@@ -44,67 +45,140 @@ void AppendU64(std::string* out, uint64_t v) {
 
 void AppendDouble(std::string* out, double d) { AppendU64(out, DoubleBits(d)); }
 
-// Dense re-ranking of arbitrary 64-bit colors, order defined by the color
-// values themselves (so the result is independent of input variable order
-// whenever the colors are).
-void Densify(std::vector<uint64_t>* colors) {
-  std::vector<uint64_t> sorted(*colors);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  for (uint64_t& c : *colors) {
-    c = static_cast<uint64_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), c) - sorted.begin());
+// Reusable buffers of one canonicalization. The incidence of variables
+// on rows is laid out once in CSR form: variable v's incident signatures
+// live in sig[begin[v], begin[v + 1]), and slot[k] is where the k-th
+// nonzero (rows in order, terms in order) writes its signature. A
+// refinement sweep then touches only these flat arrays.
+struct Scratch {
+  std::vector<uint32_t> begin;                   // n + 1 offsets into sig
+  std::vector<uint32_t> slot;                    // nonzero -> sig index
+  std::vector<uint64_t> sig;                     // incident signatures
+  std::vector<uint64_t> row;                     // one row's term hashes
+  std::vector<std::pair<uint64_t, VarId>> rank;  // Densify's sort buffer
+};
+
+void BuildIncidence(const LinearProgram& lp, Scratch* s) {
+  const size_t n = lp.num_vars();
+  s->begin.assign(n + 1, 0);
+  size_t nnz = 0;
+  for (const Row& row : lp.rows()) {
+    for (const Term& t : row.terms) ++s->begin[t.var + 1];
+    nnz += row.terms.size();
   }
+  for (size_t v = 0; v < n; ++v) s->begin[v + 1] += s->begin[v];
+  std::vector<uint32_t> cursor(s->begin.begin(), s->begin.end() - 1);
+  s->slot.resize(nnz);
+  size_t k = 0;
+  for (const Row& row : lp.rows()) {
+    for (const Term& t : row.terms) s->slot[k++] = cursor[t.var]++;
+  }
+  s->sig.resize(nnz);
 }
 
-size_t CountDistinct(const std::vector<uint64_t>& colors) {
-  std::vector<uint64_t> sorted(colors);
-  std::sort(sorted.begin(), sorted.end());
-  return static_cast<size_t>(
-      std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+// Dense re-ranking of arbitrary 64-bit colors, order defined by the color
+// values themselves (so the result is independent of input variable order
+// whenever the colors are). Returns the number of distinct colors.
+size_t Densify(std::vector<uint64_t>* colors, Scratch* s) {
+  const size_t n = colors->size();
+  s->rank.resize(n);
+  for (VarId v = 0; v < n; ++v) s->rank[v] = {(*colors)[v], v};
+  std::sort(s->rank.begin(), s->rank.end());
+  size_t distinct = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && s->rank[i].first != s->rank[i - 1].first) ++distinct;
+    (*colors)[s->rank[i].second] = distinct;
+  }
+  return n == 0 ? 0 : distinct + 1;
 }
 
 // One refinement sweep: row signatures from variable colors, then variable
 // colors from incident row signatures. One pass over the nonzeros in each
 // direction (plus a per-variable sort of its incident signatures), so a
-// sweep is O(nnz log deg) even on long cardinality rows.
-void RefineOnce(const LinearProgram& lp,
-                std::vector<std::vector<uint64_t>>* buckets,
-                std::vector<uint64_t>* colors) {
-  for (auto& b : *buckets) b.clear();
+// sweep is O(nnz log deg) even on long cardinality rows. Returns the
+// number of distinct colors after the sweep.
+size_t RefineOnce(const LinearProgram& lp, std::vector<uint64_t>* colors,
+                  Scratch* s) {
+  size_t k = 0;
   for (const Row& row : lp.rows()) {
     uint64_t h = Combine(static_cast<uint64_t>(row.op), DoubleBits(row.rhs));
-    std::vector<uint64_t> scratch;
-    scratch.reserve(row.terms.size());
+    s->row.clear();
     for (const Term& t : row.terms) {
-      scratch.push_back(Combine((*colors)[t.var], DoubleBits(t.coef)));
+      s->row.push_back(Combine((*colors)[t.var], DoubleBits(t.coef)));
     }
-    std::sort(scratch.begin(), scratch.end());
-    for (uint64_t s : scratch) h = Combine(h, s);
+    std::sort(s->row.begin(), s->row.end());
+    for (uint64_t x : s->row) h = Combine(h, x);
     for (const Term& t : row.terms) {
-      (*buckets)[t.var].push_back(Combine(h, DoubleBits(t.coef)));
+      s->sig[s->slot[k++]] = Combine(h, DoubleBits(t.coef));
     }
   }
   for (VarId v = 0; v < colors->size(); ++v) {
-    std::vector<uint64_t>& b = (*buckets)[v];
-    std::sort(b.begin(), b.end());
+    const auto first = s->sig.begin() + s->begin[v];
+    const auto last = s->sig.begin() + s->begin[v + 1];
+    std::sort(first, last);
     uint64_t h = (*colors)[v];
-    for (uint64_t s : b) h = Combine(h, s);
+    for (auto it = first; it != last; ++it) h = Combine(h, *it);
     (*colors)[v] = h;
   }
-  Densify(colors);
+  return Densify(colors, s);
 }
 
-void RefineToFixpoint(const LinearProgram& lp,
-                      std::vector<std::vector<uint64_t>>* buckets,
-                      std::vector<uint64_t>* colors) {
-  size_t distinct = CountDistinct(*colors);
-  for (size_t round = 0; round < lp.num_vars(); ++round) {
-    RefineOnce(lp, buckets, colors);
-    const size_t d = CountDistinct(*colors);
-    if (d == distinct || d == lp.num_vars()) return;
-    distinct = d;
+// Serializes `lp` relabeled by form->canon_to_input into form->key and
+// form->hash. Rows are sorted so the form is independent of row insertion
+// order; they are written into one buffer and sorted as byte slices.
+void Serialize(const LinearProgram& lp, CanonicalForm* form) {
+  const size_t n = lp.num_vars();
+  std::vector<VarId> input_to_canon(n);
+  for (size_t pos = 0; pos < n; ++pos) {
+    input_to_canon[form->canon_to_input[pos]] = static_cast<VarId>(pos);
   }
+
+  size_t nnz = 0;
+  for (const Row& row : lp.rows()) nnz += row.terms.size();
+  std::string rows;
+  rows.reserve(lp.num_rows() * 17 + nnz * 16);
+  std::vector<std::pair<size_t, size_t>> slices;  // (offset, length)
+  slices.reserve(lp.num_rows());
+  std::vector<std::pair<VarId, double>> terms;
+  for (const Row& row : lp.rows()) {
+    terms.clear();
+    for (const Term& t : row.terms) {
+      terms.emplace_back(input_to_canon[t.var], t.coef);
+    }
+    std::sort(terms.begin(), terms.end());
+    const size_t offset = rows.size();
+    rows.push_back(static_cast<char>(row.op));
+    AppendDouble(&rows, row.rhs);
+    AppendU64(&rows, terms.size());
+    for (const auto& [var, coef] : terms) {
+      AppendU64(&rows, var);
+      AppendDouble(&rows, coef);
+    }
+    slices.emplace_back(offset, rows.size() - offset);
+  }
+  const std::string_view all(rows);
+  std::sort(slices.begin(), slices.end(),
+            [all](const auto& a, const auto& b) {
+              return all.substr(a.first, a.second) <
+                     all.substr(b.first, b.second);
+            });
+
+  std::string& key = form->key;
+  key.clear();
+  key.reserve(24 + n * 25 + rows.size());
+  AppendU64(&key, n);
+  AppendU64(&key, lp.num_rows());
+  AppendDouble(&key, lp.objective_constant());
+  for (size_t pos = 0; pos < n; ++pos) {
+    const VarId v = form->canon_to_input[pos];
+    const auto& def = lp.vars()[v];
+    AppendDouble(&key, def.lower);
+    AppendDouble(&key, def.upper);
+    key.push_back(def.is_integer ? 1 : 0);
+    AppendDouble(&key, lp.objective_coef(v));
+  }
+  for (const auto& [offset, length] : slices) key.append(rows, offset, length);
+  form->hash = HashBytes(key);
 }
 
 }  // namespace
@@ -112,6 +186,7 @@ void RefineToFixpoint(const LinearProgram& lp,
 CanonicalForm Canonicalize(const LinearProgram& lp) {
   const size_t n = lp.num_vars();
   CanonicalForm form;
+  Scratch scratch;
 
   // Initial colors: everything that distinguishes a variable on its own.
   std::vector<uint64_t> colors(n);
@@ -123,67 +198,41 @@ CanonicalForm Canonicalize(const LinearProgram& lp) {
     h = Combine(h, DoubleBits(lp.objective_coef(v)));
     colors[v] = h;
   }
-  Densify(&colors);
-  std::vector<std::vector<uint64_t>> buckets(n);
-  RefineToFixpoint(lp, &buckets, &colors);
+  size_t distinct = Densify(&colors, &scratch);
 
-  // Canonical position = final color rank, ties broken by input id. Tied
-  // variables are automorphic on the structures LICM emits, and the byte
-  // serialization below is invariant under automorphic relabelings, so the
-  // tie-break never costs a hit there. (Full individualization-refinement
-  // would cost O(orbits) extra fixpoint passes — more than solving the
-  // typical component — for hit-rate gains only on 1-WL-hard structure
-  // that LICM never produces.)
+  // Refine to a fixpoint: stop once a sweep splits no color class, or
+  // every variable has its own color.
+  BuildIncidence(lp, &scratch);
+  for (size_t round = 0; round < n; ++round) {
+    const size_t d = RefineOnce(lp, &colors, &scratch);
+    if (d == distinct || d == n) break;
+    distinct = d;
+  }
+
+  // Canonical position = final color rank, ties broken by input id (a
+  // stable counting sort over the dense ranks). Tied variables are
+  // automorphic on the structures LICM emits, and the byte serialization
+  // is invariant under automorphic relabelings, so the tie-break never
+  // costs a hit there. (Full individualization-refinement would cost
+  // O(orbits) extra fixpoint passes — more than solving the typical
+  // component — for hit-rate gains only on 1-WL-hard structure that LICM
+  // never produces.)
+  std::vector<uint32_t> start(n + 1, 0);
+  for (VarId v = 0; v < n; ++v) ++start[colors[v] + 1];
+  for (size_t c = 0; c < n; ++c) start[c + 1] += start[c];
   form.canon_to_input.resize(n);
-  for (VarId v = 0; v < n; ++v) form.canon_to_input[v] = v;
-  std::sort(form.canon_to_input.begin(), form.canon_to_input.end(),
-            [&colors](VarId a, VarId b) {
-              return colors[a] != colors[b] ? colors[a] < colors[b] : a < b;
-            });
-  std::vector<VarId> input_to_canon(n);
-  for (size_t pos = 0; pos < n; ++pos) {
-    input_to_canon[form.canon_to_input[pos]] = static_cast<VarId>(pos);
-  }
+  for (VarId v = 0; v < n; ++v) form.canon_to_input[start[colors[v]]++] = v;
 
-  // Serialize the relabeled program. Rows are sorted so the form is
-  // independent of row insertion order.
-  std::string& key = form.key;
-  key.reserve(16 + n * 33 + lp.num_rows() * 24);
-  AppendU64(&key, n);
-  AppendU64(&key, lp.num_rows());
-  AppendDouble(&key, lp.objective_constant());
-  for (size_t pos = 0; pos < n; ++pos) {
-    const VarId v = form.canon_to_input[pos];
-    const auto& def = lp.vars()[v];
-    AppendDouble(&key, def.lower);
-    AppendDouble(&key, def.upper);
-    key.push_back(def.is_integer ? 1 : 0);
-    AppendDouble(&key, lp.objective_coef(v));
-  }
-  std::vector<std::string> row_bytes;
-  row_bytes.reserve(lp.num_rows());
-  std::vector<std::pair<VarId, double>> terms;
-  for (const Row& row : lp.rows()) {
-    terms.clear();
-    for (const Term& t : row.terms) {
-      terms.emplace_back(input_to_canon[t.var], t.coef);
-    }
-    std::sort(terms.begin(), terms.end());
-    std::string bytes;
-    bytes.push_back(static_cast<char>(row.op));
-    AppendDouble(&bytes, row.rhs);
-    AppendU64(&bytes, terms.size());
-    for (const auto& [var, coef] : terms) {
-      AppendU64(&bytes, var);
-      AppendDouble(&bytes, coef);
-    }
-    row_bytes.push_back(std::move(bytes));
-  }
-  std::sort(row_bytes.begin(), row_bytes.end());
-  for (const std::string& bytes : row_bytes) key += bytes;
-
-  form.hash = HashBytes(key);
+  Serialize(lp, &form);
   return form;
+}
+
+CanonicalForm CanonicalizeTwin(const LinearProgram& twin,
+                               const CanonicalForm& form) {
+  CanonicalForm out;
+  out.canon_to_input = form.canon_to_input;
+  Serialize(twin, &out);
+  return out;
 }
 
 std::vector<double> CanonicalToInput(const CanonicalForm& form,

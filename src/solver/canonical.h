@@ -44,6 +44,19 @@ struct CanonicalForm {
 /// components produced by Decompose().
 CanonicalForm Canonicalize(const LinearProgram& lp);
 
+/// Canonical form of `twin`, the negated-objective copy of the program
+/// `form` was computed from (same variables, bounds and rows), without a
+/// second refinement: `form`'s relabeling is reused and only the bytes are
+/// re-serialized. The keys are canonical over the twins: the relabeling
+/// is canonical for the original, and negating the objective commutes
+/// with relabeling, so isomorphic originals give equal twin keys, and
+/// equal keys still imply isomorphic twins. A zero-objective twin
+/// serializes to `form.key` itself. A twin key need not equal
+/// Canonicalize(twin).key: a program fingerprinted both ways can take two
+/// cache entries (a missed hit, never a wrong one).
+CanonicalForm CanonicalizeTwin(const LinearProgram& twin,
+                               const CanonicalForm& form);
+
 /// Maps a solution vector in canonical variable order back to the input
 /// program's variable order.
 std::vector<double> CanonicalToInput(const CanonicalForm& form,

@@ -232,9 +232,13 @@ class ComponentSearch {
       }
 
       // Root LP: warm state, root cut separation, and strong branching —
-      // all before any parallel strand exists.
+      // all before any parallel strand exists, and only for a component
+      // the prologue left open. A closed gap cuts the root decision on
+      // its activity bound before any LP value is read, and the root LP
+      // never offers an incumbent, so skipping it changes no result.
       double root_bound = kInfinity;
-      if (node_lp_ && !RootLpSetup(&root_strand, &root_bound)) {
+      if (node_lp_ && !RootGapClosed(root_strand.dom) &&
+          !RootLpSetup(&root_strand, &root_bound)) {
         res.status = SolveStatus::kInfeasible;
         stats_->cpu_seconds += prep_clock.ElapsedSeconds();
         return res;
@@ -1204,15 +1208,18 @@ ComponentResult EntryToResult(const ComponentCache::Entry& e,
 // answers the whole isomorphism class, and proved results are memoized for
 // later batches. Rowless programs skip the cache — solving them by
 // inspection is cheaper than fingerprinting them — as do components above
-// the size cap (kCacheMaxComponentVars).
+// the size cap (kCacheMaxComponentVars). A nonzero `twin_offset` says that
+// programs[twin_offset + i] is the negated-objective twin of programs[i]:
+// the twin reuses its original's relabeling (CanonicalizeTwin), so each
+// pair is refined once.
 //
 // With a multi-thread scheduler, component tasks go through one shared
 // pool, and each ComponentSearch may additionally donate subtrees into
 // that same pool — so a batch that is one giant component (the Query-3
 // join regime) still saturates the machine.
 std::vector<ComponentResult> SolveBatch(
-    const std::vector<const LinearProgram*>& programs, const MipOptions& opt,
-    MipStats* stats) {
+    const std::vector<const LinearProgram*>& programs, size_t twin_offset,
+    const MipOptions& opt, MipStats* stats) {
   Scheduler* const scheduler = opt.scheduler;
   const size_t n = programs.size();
   std::vector<ComponentResult> results(n);
@@ -1229,7 +1236,9 @@ std::vector<ComponentResult> SolveBatch(
           programs[i]->num_vars() > kCacheMaxComponentVars) {
         continue;
       }
-      forms[i] = Canonicalize(*programs[i]);
+      forms[i] = twin_offset > 0 && i >= twin_offset
+                     ? CanonicalizeTwin(*programs[i], forms[i - twin_offset])
+                     : Canonicalize(*programs[i]);
       ++stats->canonical_forms;
       use_cache[i] = true;
       auto [it, fresh] = group_of.try_emplace(std::string_view(forms[i].key),
@@ -1539,7 +1548,8 @@ MipResult MipSolver::Solve(const LinearProgram& input, Sense sense) const {
   std::vector<const LinearProgram*> programs;
   programs.reserve(p.comps.size());
   for (const Component& c : p.comps) programs.push_back(&c.program);
-  std::vector<ComponentResult> solved = SolveBatch(programs, opt, &stats);
+  std::vector<ComponentResult> solved =
+      SolveBatch(programs, /*twin_offset=*/0, opt, &stats);
   MipResult result = Assemble(p, opt, programs, solved, 0,
                               p.work->objective_constant(), minimize);
   result.stats = stats;
@@ -1568,8 +1578,10 @@ MinMaxMipResult MipSolver::SolveMinMax(const LinearProgram& input) const {
 
   // One task list covers both senses: components as-is for the max side,
   // negated-objective twins for the min side. A single batch shares the
-  // thread pool and the cache across senses, and feasibility-only
-  // components (zero objective) even dedupe *between* senses.
+  // thread pool and the cache across senses, each twin is fingerprinted
+  // under its original's relabeling (one refinement per pair), and
+  // feasibility-only components (zero objective) even dedupe *between*
+  // senses.
   const size_t nc = p.comps.size();
   std::vector<LinearProgram> negated;
   negated.reserve(nc);
@@ -1582,7 +1594,7 @@ MinMaxMipResult MipSolver::SolveMinMax(const LinearProgram& input) const {
     programs[nc + i] = &negated[i];
   }
   std::vector<ComponentResult> solved =
-      SolveBatch(programs, opt, &out.stats);
+      SolveBatch(programs, /*twin_offset=*/nc, opt, &out.stats);
 
   out.max = Assemble(p, opt, programs, solved, 0,
                      p.work->objective_constant(), /*negate=*/false);

@@ -157,6 +157,8 @@ TEST(Harness, NodeLpProvesBipartiteQuery1) {
   EXPECT_EQ(with_lp->bounds.min.value, 1.0);
   EXPECT_EQ(with_lp->bounds.max.value, 6.0);
   EXPECT_LE(with_lp->bounds.stats.nodes, 92);
+  // The prologue leaves this cell open, so the node LP still runs on it.
+  EXPECT_GT(with_lp->bounds.stats.lp_pivots, 0);
 
   opt.bounds.mip.use_lp_bound = false;
   auto without_lp = AnswerAggregate(*query, enc->db, opt);

@@ -127,7 +127,7 @@ TEST(RequestPayload, AllFieldsRoundTrip) {
   req.qnum = 3;
   req.deadline_ms = 2500.125;
   req.mc_worlds = 64;
-  req.seed = ~0ull;
+  req.seed = service::kMaxWireSeed;  // the largest seed either codec takes
   req.action = "edit";
   req.relation = "trans_item";
   req.row = "1,2,a b c";
@@ -218,6 +218,44 @@ TEST(RequestPayload, OutOfRangeIntFieldsAreRejectedLikeJson) {
   }
 }
 
+// seed (field 7, a plain varint) is [0, 2^53] on both codecs: the
+// integers a JSON number holds exactly. Past that, or negative on the JSON
+// line, it is the same typed error, never a wrapped or rounded seed.
+TEST(RequestPayload, SeedRangeMatchesJson) {
+  auto binary_with_seed = [](uint64_t seed) {
+    service::WireRequest req;
+    req.op = "query";
+    std::string payload = EncodeRequestPayload(req);
+    AppendVarint(&payload, 7u << 2);  // varint wiretype
+    AppendVarint(&payload, seed);
+    return DecodeRequestPayload(payload);
+  };
+  auto json_with_seed = [](const std::string& seed) {
+    return service::ParseRequestLine(R"({"op":"query","seed":)" + seed + "}");
+  };
+  const uint64_t top = service::kMaxWireSeed;
+  for (uint64_t ok_seed : {uint64_t{0}, uint64_t{1}, top}) {
+    auto binary = binary_with_seed(ok_seed);
+    auto json = json_with_seed(std::to_string(ok_seed));
+    ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+    ASSERT_TRUE(json.ok()) << json.status().ToString();
+    EXPECT_EQ(binary->seed, ok_seed);
+    ExpectRequestsEqual(*binary, *json);
+  }
+  auto too_big = json_with_seed(std::to_string(top + 2));
+  ASSERT_FALSE(too_big.ok());
+  EXPECT_EQ(too_big.status().code(), StatusCode::kInvalidArgument);
+  for (uint64_t bad : {top + 1, uint64_t{1} << 63, ~uint64_t{0}}) {
+    auto binary = binary_with_seed(bad);
+    ASSERT_FALSE(binary.ok()) << bad;
+    EXPECT_EQ(binary.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(binary.status().message(), too_big.status().message());
+  }
+  auto negative = json_with_seed("-1");
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().message(), too_big.status().message());
+}
+
 TEST(RequestPayload, TruncatedPayloadIsRejected) {
   service::WireRequest req;
   req.op = "query";
@@ -251,9 +289,7 @@ TEST(RequestPayload, RandomizedRequestsMatchJsonParser) {
       req.deadline_ms = static_cast<double>(rng.Uniform(10000)) / 8.0;
     }
     req.mc_worlds = static_cast<int>(rng.Uniform(64));
-    // The JSON number path goes through a double, so only seeds up to
-    // 2^53 survive both codecs; the binary codec itself is exact for all
-    // 64 bits (covered by AllFieldsRoundTrip's ~0 seed).
+    // Both codecs take seeds in [0, 2^53] (SeedRangeMatchesJson).
     req.seed = rng.Next() >> 11;
 
     // Binary round trip preserves every field.

@@ -172,6 +172,24 @@ TEST(Protocol, OutOfRangeIntegersAreTypedErrors) {
   EXPECT_EQ(2147483647, hi->mc_worlds);
 }
 
+TEST(Protocol, SeedsOutsideTheExactDoubleRangeAreTypedErrors) {
+  // A negative seed used to wrap to a large unsigned one; seeds above
+  // 2^53 have no exact JSON spelling.
+  for (const char* line : {R"({"op":"query","seed":-1})",
+                           R"({"op":"query","seed":9007199254740994})",
+                           R"({"op":"query","seed":1e18})"}) {
+    auto req = ParseRequestLine(line);
+    ASSERT_FALSE(req.ok()) << line;
+    EXPECT_EQ(StatusCode::kInvalidArgument, req.status().code()) << line;
+  }
+  auto top = ParseRequestLine(R"({"op":"query","seed":9007199254740992})");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(kMaxWireSeed, top->seed);
+  auto zero = ParseRequestLine(R"({"op":"query","seed":0})");
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  EXPECT_EQ(0u, zero->seed);
+}
+
 TEST(Protocol, RenderedResponsesParseBack) {
   QueryResponse r;
   r.degraded = true;

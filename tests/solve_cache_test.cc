@@ -21,6 +21,7 @@ namespace {
 
 using solver::CanonicalForm;
 using solver::Canonicalize;
+using solver::CanonicalizeTwin;
 using solver::ComponentCache;
 using solver::LinearProgram;
 using solver::MipOptions;
@@ -92,6 +93,66 @@ LinearProgram PermuteProgram(const LinearProgram& lp,
   return out;
 }
 
+// The min side's twin: same feasible set, objective negated.
+LinearProgram Negated(const LinearProgram& lp) {
+  LinearProgram neg = lp;
+  for (VarId v = 0; v < neg.num_vars(); ++v) {
+    neg.SetObjectiveCoef(v, -neg.objective_coef(v));
+  }
+  neg.AddObjectiveConstant(-2.0 * neg.objective_constant());
+  return neg;
+}
+
+// A random program for the key digest: up to 60 variables (binary,
+// general integer or continuous), up to 1.5 rows per variable, signed
+// coefficients and objective. Every fifth program is three disjoint
+// copies of one block, so refinement ends with tied classes.
+LinearProgram DigestProgram(Rng* rng, int index) {
+  LinearProgram lp;
+  const int n = 2 + static_cast<int>(rng->Uniform(59));
+  for (int v = 0; v < n; ++v) {
+    const uint64_t kind = rng->Uniform(6);
+    if (kind == 0) {
+      lp.AddVariable(0, 3, true);
+    } else if (kind == 1) {
+      lp.AddVariable(0, 2.5, false);
+    } else {
+      lp.AddBinary();
+    }
+    const double coefs[] = {0.0, 0.0, 1.0, 2.0, -1.0, 0.5};
+    lp.SetObjectiveCoef(static_cast<VarId>(v), coefs[rng->Uniform(6)]);
+  }
+  const int rows = 1 + static_cast<int>(rng->Uniform(3 * n / 2));
+  for (int r = 0; r < rows; ++r) {
+    Row row;
+    const int len = 1 + static_cast<int>(rng->Uniform(std::min(n, 8)));
+    for (int t = 0; t < len; ++t) {
+      const double coefs[] = {1.0, 1.0, 2.0, -1.0};
+      row.terms.push_back({static_cast<VarId>(rng->Uniform(n)),
+                           coefs[rng->Uniform(4)]});
+    }
+    const RowOp ops[] = {RowOp::kLe, RowOp::kGe, RowOp::kEq};
+    row.op = ops[rng->Uniform(3)];
+    row.rhs = static_cast<double>(rng->Uniform(len + 1));
+    lp.AddRow(std::move(row));
+  }
+  if (index % 5 != 0) return lp;
+  LinearProgram copies;
+  for (int c = 0; c < 3; ++c) {
+    const VarId base = static_cast<VarId>(c * n);
+    for (VarId v = 0; v < lp.num_vars(); ++v) {
+      const auto& def = lp.vars()[v];
+      copies.AddVariable(def.lower, def.upper, def.is_integer);
+      copies.SetObjectiveCoef(base + v, lp.objective_coef(v));
+    }
+    for (Row row : lp.rows()) {
+      for (Term& t : row.terms) t.var += base;
+      copies.AddRow(std::move(row));
+    }
+  }
+  return copies;
+}
+
 std::vector<VarId> RandomPermutation(size_t n, Rng* rng) {
   std::vector<VarId> perm(n);
   for (VarId v = 0; v < n; ++v) perm[v] = v;
@@ -133,7 +194,74 @@ TEST(Canonical, RelabelingIsAValidWitness) {
         CanonicalToInput(b, InputToCanonical(a, x));
     EXPECT_EQ(lp.IsFeasible(x), iso.IsFeasible(mapped)) << "iter " << iter;
     EXPECT_DOUBLE_EQ(lp.EvalObjective(x), iso.EvalObjective(mapped));
+
+    // The twins reuse these relabelings, and they witness the twins'
+    // isomorphism the same way.
+    const LinearProgram lp_twin = Negated(lp), iso_twin = Negated(iso);
+    CanonicalForm ta = CanonicalizeTwin(lp_twin, a);
+    CanonicalForm tb = CanonicalizeTwin(iso_twin, b);
+    ASSERT_EQ(ta.key, tb.key);
+    mapped = CanonicalToInput(tb, InputToCanonical(ta, x));
+    EXPECT_EQ(lp_twin.IsFeasible(x), iso_twin.IsFeasible(mapped));
+    EXPECT_DOUBLE_EQ(lp_twin.EvalObjective(x), iso_twin.EvalObjective(mapped));
   }
+}
+
+constexpr uint64_t kRecordedDigest = 0xcd18a0262aac29e2ULL;
+
+TEST(Canonical, KeysMatchTheRecordedDigest) {
+  // FNV-1a over the keys and relabelings of 400 seeded programs, recorded
+  // when the refinement kernel was rewritten: any change to the bytes or
+  // the labeling shows here. A deliberate format change re-records it.
+  Rng rng(2012);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto fold = [&h](const void* data, size_t len) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < len; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (int i = 0; i < 400; ++i) {
+    const CanonicalForm f = Canonicalize(DigestProgram(&rng, i));
+    fold(f.key.data(), f.key.size());
+    fold(f.canon_to_input.data(), f.canon_to_input.size() * sizeof(VarId));
+    fold(&f.hash, sizeof(f.hash));
+  }
+  EXPECT_EQ(h, kRecordedDigest);
+}
+
+TEST(Canonical, PermutedProgramsShareTheirTwinKey) {
+  Rng rng(13);
+  for (int iter = 0; iter < 200; ++iter) {
+    LinearProgram lp = RandomProgram(&rng);
+    LinearProgram iso =
+        PermuteProgram(lp, RandomPermutation(lp.num_vars(), &rng), &rng);
+    CanonicalForm a = CanonicalizeTwin(Negated(lp), Canonicalize(lp));
+    CanonicalForm b = CanonicalizeTwin(Negated(iso), Canonicalize(iso));
+    ASSERT_EQ(a.key, b.key) << "iter " << iter;
+    ASSERT_EQ(a.hash, b.hash);
+  }
+}
+
+TEST(Canonical, ZeroObjectiveTwinKeepsTheKey) {
+  Rng rng(17);
+  for (int iter = 0; iter < 50; ++iter) {
+    LinearProgram lp = RandomProgram(&rng);
+    for (VarId v = 0; v < lp.num_vars(); ++v) lp.SetObjectiveCoef(v, 0.0);
+    const CanonicalForm form = Canonicalize(lp);
+    const CanonicalForm twin = CanonicalizeTwin(Negated(lp), form);
+    EXPECT_EQ(twin.key, form.key) << "iter " << iter;
+    EXPECT_EQ(twin.hash, form.hash);
+    EXPECT_EQ(twin.canon_to_input, form.canon_to_input);
+  }
+  // A nonzero objective separates the senses.
+  LinearProgram lp;
+  lp.AddBinary();
+  lp.SetObjectiveCoef(0, 1.0);
+  lp.AddRow(Row{{{0, 1}}, RowOp::kLe, 1});
+  const CanonicalForm form = Canonicalize(lp);
+  EXPECT_NE(CanonicalizeTwin(Negated(lp), form).key, form.key);
 }
 
 TEST(Canonical, MutantsGetDistinctKeys) {

@@ -1,5 +1,6 @@
 // Unit tests for the incremental dual simplex (warm-started node
-// relaxations), reduced-cost fixing, and cardinality cut separation.
+// relaxations), when a component search engages it, reduced-cost fixing,
+// and cardinality cut separation.
 #include <cmath>
 #include <vector>
 
@@ -41,6 +42,83 @@ LinearProgram RandomBoxLp(uint64_t seed, int* out_n) {
   }
   *out_n = n;
   return lp;
+}
+
+// The node LP engages only where the prologue leaves a gap: a component
+// that the objective-preferred corner or the first objective dive closes
+// solves with no LP work at all, and one with a fractional relaxation
+// still gets its root LP.
+MipOptions SingleComponentOptions() {
+  MipOptions opt;
+  opt.use_presolve = false;       // keep the component whole
+  opt.use_decomposition = false;  // and searched as one
+  opt.use_cache = false;
+  opt.num_threads = 1;
+  return opt;
+}
+
+void ExpectNoLpWork(const MipResult& r) {
+  EXPECT_EQ(r.stats.warm_lp_solves, 0);
+  EXPECT_EQ(r.stats.lp_pivots, 0);
+  EXPECT_EQ(r.stats.strong_branch_solves, 0);
+  EXPECT_EQ(r.stats.cuts_generated, 0);
+}
+
+TEST(LpEngagement, PreferredCornerClosesWithoutLp) {
+  // max x0 + x1 + x2 with each objective variable excluding one filler:
+  // the corner x0 = x1 = x2 = 1, fillers 0 satisfies every row.
+  LinearProgram lp;
+  for (int v = 0; v < 6; ++v) lp.AddBinary();
+  for (VarId v = 0; v < 3; ++v) {
+    lp.SetObjectiveCoef(v, 1.0);
+    lp.AddRow(Row{{{v, 1}, {v + 3, 1}}, RowOp::kLe, 1});
+  }
+  lp.AddRow(Row{{{3, 1}, {4, 1}, {5, 1}}, RowOp::kLe, 2});
+  const MipResult r =
+      MipSolver(SingleComponentOptions()).Solve(lp, Sense::kMaximize);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_EQ(r.objective, 3.0);
+  EXPECT_EQ(r.best_bound, 3.0);
+  EXPECT_EQ(r.stats.nodes, 1);
+  ExpectNoLpWork(r);
+}
+
+TEST(LpEngagement, ObjectiveDiveClosesWithoutLp) {
+  // max x0 + x1 s.t. x2 + x3 >= 1: the corner leaves both fillers at 0
+  // and fails, and the first dive reaches the activity bound 2.
+  LinearProgram lp;
+  for (int v = 0; v < 4; ++v) lp.AddBinary();
+  lp.SetObjectiveCoef(0, 1.0);
+  lp.SetObjectiveCoef(1, 1.0);
+  lp.AddRow(Row{{{2, 1}, {3, 1}}, RowOp::kGe, 1});
+  lp.AddRow(Row{{{0, 1}, {1, 1}, {2, 1}}, RowOp::kLe, 3});
+  const MipResult r =
+      MipSolver(SingleComponentOptions()).Solve(lp, Sense::kMaximize);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_EQ(r.objective, 2.0);
+  EXPECT_EQ(r.best_bound, 2.0);
+  EXPECT_EQ(r.stats.nodes, 1);
+  ExpectNoLpWork(r);
+}
+
+TEST(LpEngagement, OpenGapStillSolvesTheRootLp) {
+  // Pairwise exclusion over three objective variables: the activity
+  // bound is 3, every world reaches 1, and only the relaxation (1.5,
+  // floored to 1) closes the gap.
+  LinearProgram lp;
+  for (int v = 0; v < 3; ++v) {
+    lp.AddBinary();
+    lp.SetObjectiveCoef(static_cast<VarId>(v), 1.0);
+  }
+  lp.AddRow(Row{{{0, 1}, {1, 1}}, RowOp::kLe, 1});
+  lp.AddRow(Row{{{1, 1}, {2, 1}}, RowOp::kLe, 1});
+  lp.AddRow(Row{{{0, 1}, {2, 1}}, RowOp::kLe, 1});
+  const MipResult r =
+      MipSolver(SingleComponentOptions()).Solve(lp, Sense::kMaximize);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_EQ(r.objective, 1.0);
+  EXPECT_GT(r.stats.warm_lp_solves, 0);
+  EXPECT_GT(r.stats.lp_pivots, 0);
 }
 
 // Dual simplex from the cold all-slack basis must agree with the primal

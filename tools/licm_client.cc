@@ -27,10 +27,12 @@
 // Phase 2 (optional, --burst B): B one-shot connections fire
 // simultaneously to provoke admission control; kOverloaded responses are
 // expected there and are not protocol errors. A final `stats` request
-// snapshots the server counters. Throughput and p50/p95/p99 latency go
-// to --json in the standard BENCH format (--json-append accumulates rows
-// across runs; the codec and load shape form the row's identity columns,
-// so bench_diff compares like with like).
+// snapshots the server counters. Throughput (answered requests per
+// second of the load phase; typed rejections are counted apart) and
+// p50/p95/p99 latency go to --json in the standard BENCH format
+// (--json-append accumulates rows across runs; the codec and load shape
+// form the row's identity columns, so bench_diff compares like with
+// like).
 //
 // --verify rebuilds every instance from the same specs the server got
 // and computes offline exact bounds per (instance, qnum); every
@@ -510,7 +512,6 @@ int main(int argc, char** argv) {
 
   double load_s = 0.0;
   int64_t shed = 0;
-  int64_t completed_requests = 0;
 
   if (rate > 0.0) {
     // ----------------------------------------------------------------
@@ -683,6 +684,11 @@ int main(int argc, char** argv) {
     load_s = load_watch.ElapsedMs() / 1e3;
   }
 
+  // Load-phase outcomes, before the burst adds its own: throughput counts
+  // answered requests only, and typed rejections are reported apart.
+  const int64_t answered = tally.ok;
+  const int64_t rejected = tally.overloaded;
+
   // Phase 2: simultaneous burst to provoke admission control.
   if (burst > 0) {
     std::vector<std::thread> burst_threads;
@@ -729,25 +735,30 @@ int main(int argc, char** argv) {
   // Quantiles from the shared log-bucketed histogram (common/metrics.h)
   // — one implementation for client- and server-side latency summaries.
   const licm::metrics::HistogramSnapshot lat = latency_hist.Snapshot();
-  completed_requests = lat.count;
+  const int64_t responses = lat.count;
   const double p50 = lat.Quantile(0.50);
   const double p95 = lat.Quantile(0.95);
   const double p99 = lat.Quantile(0.99);
-  const double rps =
-      load_s > 0 ? static_cast<double>(completed_requests) / load_s : 0.0;
+  auto per_s = [load_s](int64_t n) {
+    return load_s > 0 ? static_cast<double>(n) / load_s : 0.0;
+  };
+  const double rps = per_s(answered);
 
   std::printf(
       "requests=%lld ok=%lld degraded=%lld overloaded=%lld errors=%lld "
       "verify_failures=%lld shed=%lld\n",
-      static_cast<long long>(completed_requests + burst),
+      static_cast<long long>(responses + burst),
       static_cast<long long>(tally.ok),
       static_cast<long long>(tally.degraded),
       static_cast<long long>(tally.overloaded),
       static_cast<long long>(tally.protocol_errors),
       static_cast<long long>(tally.verify_failures),
       static_cast<long long>(shed));
-  std::printf("throughput=%.1f req/s p50=%.2fms p95=%.2fms p99=%.2fms\n",
-              rps, p50, p95, p99);
+  std::printf(
+      "throughput=%.1f answered/s (%lld answered, %lld rejected) "
+      "p50=%.2fms p95=%.2fms p99=%.2fms\n",
+      rps, static_cast<long long>(answered), static_cast<long long>(rejected),
+      p50, p95, p99);
   if (server_rejected >= 0) {
     std::printf("server rejected_overload=%lld\n",
                 static_cast<long long>(server_rejected));
@@ -771,8 +782,10 @@ int main(int argc, char** argv) {
       .AddInt("verify_failures", tally.verify_failures)
       .AddInt("server_rejected_overload", server_rejected)
       .AddBool("verified", verify)
+      .AddInt("answered", answered)
+      .AddInt("rejected", rejected)
       .AddNumber("throughput_rps", rps)
-      .AddNumber("achieved_rps", rps)
+      .AddNumber("achieved_rps", per_s(responses))
       .AddNumber("p50_ms", p50)
       .AddNumber("p95_ms", p95)
       .AddNumber("p99_ms", p99)
