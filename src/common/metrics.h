@@ -24,10 +24,6 @@
 //     Cardinality discipline is the caller's job: label values must come
 //     from a small closed set (instance names, query ids 1-3, engine,
 //     degraded flag) — never raw user input.
-//
-// Compiling with -DLICM_METRICS_DISABLED turns every update into a no-op
-// (the registry still renders, all zeros); the CMake option
-// LICM_DISABLE_METRICS drives this for overhead A/B measurements.
 #ifndef LICM_COMMON_METRICS_H_
 #define LICM_COMMON_METRICS_H_
 
@@ -82,11 +78,8 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Increment(int64_t delta = 1) {
-#if !defined(LICM_METRICS_DISABLED)
     shards_[detail::ShardIndex()].v.fetch_add(delta,
                                               std::memory_order_relaxed);
-#endif
-    (void)delta;
   }
 
   int64_t Value() const {
@@ -107,18 +100,8 @@ class Gauge {
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-  void Set(double v) {
-#if !defined(LICM_METRICS_DISABLED)
-    value_.store(v, std::memory_order_relaxed);
-#endif
-    (void)v;
-  }
-  void Add(double delta) {
-#if !defined(LICM_METRICS_DISABLED)
-    detail::AtomicAdd(&value_, delta);
-#endif
-    (void)delta;
-  }
+  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
+  void Add(double delta) { detail::AtomicAdd(&value_, delta); }
   double Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -157,12 +140,9 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Observe(double v) {
-#if !defined(LICM_METRICS_DISABLED)
     Shard& s = shards_[detail::ShardIndex()];
     s.buckets[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
     detail::AtomicAdd(&s.sum, v);
-#endif
-    (void)v;
   }
 
   HistogramSnapshot Snapshot() const;

@@ -26,13 +26,14 @@ std::vector<size_t> AllColumns(const BatchView& view) {
 }
 
 // OR-merges the groups of identical active rows (all columns), replacing
-// the selection with the group representatives. The columnar body of
-// MergeDuplicates/ProjectOp: per-group lineage goes through the shared
-// GroupOrExt, in first-seen group order with members accumulated in row
-// order — the exact pool.New()/AddOr sequence of the row path. When the
-// active rows are already distinct every group is a singleton, GroupOrExt
-// returns each row's own Ext, and the input passes through untouched
-// (matching the row MergeDuplicates fast path: no allocation either way).
+// the selection with the group representatives: the body of projection
+// with set semantics (Algorithm 1) and of MergeDuplicatesBatch. A group
+// backed by a certain row is certain, a single-variable group reuses its
+// variable (Example 7's optimization), and any other group gets a fresh
+// OR-linked variable; groups go in first-seen order with members
+// accumulated in row order. When the active rows are already distinct
+// every group is a singleton, GroupOrExt returns each row's own Ext, and
+// the input passes through untouched.
 LicmBatch OrMergeGroups(const LicmBatch& in, ColumnarLicmContext* ctx) {
   const Grouping g = rel::GroupBy(in.view, AllColumns(in.view), &ctx->arena);
   if (g.num_groups == g.n) return in;
@@ -71,6 +72,8 @@ Result<LicmBatch> ScanBatch(const rel::QueryNode& node, LicmDatabase* db,
   return OrMergeGroups(b, ctx);
 }
 
+// Selection (Section IV-B): keeps tuples whose normal attributes satisfy
+// the conjunctive predicates; constraints pass through untouched.
 Result<LicmBatch> SelectBatch(const rel::QueryNode& node, LicmDatabase* db,
                               ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(LicmBatch in, EvaluateLicmBatch(*node.left, db, ctx));
@@ -110,6 +113,8 @@ Result<LicmBatch> ProjectBatch(const rel::QueryNode& node, LicmDatabase* db,
   return OrMergeGroups(mid, ctx);
 }
 
+// Intersection (Algorithm 2): tuples present in both inputs; existence is
+// the AND of the inputs' existence.
 Result<LicmBatch> IntersectBatch(const rel::QueryNode& node, LicmDatabase* db,
                                  ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(LicmBatch a, EvaluateLicmBatch(*node.left, db, ctx));
@@ -145,6 +150,8 @@ Result<LicmBatch> IntersectBatch(const rel::QueryNode& node, LicmDatabase* db,
   return out;
 }
 
+// Cartesian product (Algorithm 3). Output schema follows rel::ProductSchema
+// (clashing right columns get an "r_" prefix).
 Result<LicmBatch> ProductBatch(const rel::QueryNode& node, LicmDatabase* db,
                                ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(LicmBatch a, EvaluateLicmBatch(*node.left, db, ctx));
@@ -181,6 +188,9 @@ Result<LicmBatch> ProductBatch(const rel::QueryNode& node, LicmDatabase* db,
   return out;
 }
 
+// Equi-join: product restricted to key-equal pairs, dropping the right key
+// columns (the paper builds join from product + selection + projection;
+// this fuses them). Output schema follows rel::JoinSchema.
 Result<LicmBatch> JoinBatch(const rel::QueryNode& node, LicmDatabase* db,
                             ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(LicmBatch a, EvaluateLicmBatch(*node.left, db, ctx));
@@ -249,9 +259,11 @@ Result<LicmBatch> JoinBatch(const rel::QueryNode& node, LicmDatabase* db,
   return OrMergeGroups(out, ctx);
 }
 
-// Batch body of Count/SumPredicateOp over the already-merged input:
-// Algorithm 4 per contiguous group run, emitting qualifying group values
-// in first-seen order.
+// Mid-tree group predicate over the already-merged input: Algorithm 4 per
+// contiguous group run, weighting each tuple by 1 (COUNT) or by its value
+// in column `vidx` (SUM), and emitting the group values that can satisfy
+// `op d` in some world, in first-seen order. Supports <=, <, >=, >, and =
+// (the AND of <= and >=).
 Result<LicmBatch> GroupPredicateBatch(const LicmBatch& merged, size_t gidx,
                                       size_t vidx, bool weighted,
                                       rel::CmpOp op, int64_t d,
@@ -324,6 +336,9 @@ Result<LicmBatch> CountPredicateBatch(const rel::QueryNode& node,
                              node.count_op, node.count_d, ctx);
 }
 
+// The summed column must hold non-negative integers (the paper's "SUM over
+// a constant numeric attribute" case); Algorithm 4's two constraints
+// generalize verbatim with weighted terms.
 Result<LicmBatch> SumPredicateBatch(const rel::QueryNode& node,
                                     LicmDatabase* db,
                                     ColumnarLicmContext* ctx) {
@@ -375,17 +390,23 @@ Result<LicmBatch> EvaluateLicmBatch(const rel::QueryNode& node,
 void NumericColumnBatch(const LicmBatch& in, size_t col,
                         ColumnarLicmContext* ctx, std::vector<double>* values,
                         std::vector<Ext>* exts) {
+  const uint32_t* rows = ActiveRows(in.view, &ctx->arena);
+  exts->reserve(in.view.active);
+  for (size_t i = 0; i < in.view.active; ++i) {
+    exts->push_back(in.exts[rows[i]]);
+  }
+  if (col == kCountColumn) {
+    values->assign(exts->size(), 1.0);
+    return;
+  }
   const rel::ValueType t = in.view.schema.column(col).type;
   LICM_CHECK(t != rel::ValueType::kString);
-  const uint32_t* rows = ActiveRows(in.view, &ctx->arena);
   values->reserve(in.view.active);
-  exts->reserve(in.view.active);
   for (size_t i = 0; i < in.view.active; ++i) {
     const uint32_t row = rows[i];
     values->push_back(t == rel::ValueType::kInt
                           ? static_cast<double>(in.view.cols[col].i64[row])
                           : in.view.cols[col].f64[row]);
-    exts->push_back(in.exts[row]);
   }
 }
 

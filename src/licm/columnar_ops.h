@@ -1,13 +1,15 @@
-// Columnar LICM operators: the batch-execution counterpart of ops.cc.
+// LICM operators (Section IV, Algorithms 1-4) over batches: the one path
+// by which a query tree becomes lineage.
 //
 // An LicmBatch is a relational BatchView plus an Ext array parallel to the
 // physical rows; operators filter by selection bitmap and group by
 // contiguous runs (batch.h) instead of per-tuple hash-map inserts, and
 // bulk-emit Algorithm 4's cardinality rows per run. The lineage case
-// analyses themselves are shared with the row path (lineage.h), and every
-// operator walks rows in the row engine's order, so both paths allocate
-// the SAME variable ids and emit the SAME constraints — the `columnar`
-// fuzz invariant and the differential tests check this structurally.
+// analyses live in lineage.h. Every operator walks rows in first-seen
+// order, so the variable ids and constraints it appends depend only on
+// the logical input. The LICM layer's reference is possible-world
+// enumeration through the deterministic engine (the `oracle` fuzz
+// invariant and licm_oracle_test).
 #ifndef LICM_LICM_COLUMNAR_OPS_H_
 #define LICM_LICM_COLUMNAR_OPS_H_
 
@@ -15,7 +17,7 @@
 #include <vector>
 
 #include "licm/licm_relation.h"
-#include "licm/ops.h"
+#include "licm/lineage.h"
 #include "relational/arena.h"
 #include "relational/batch.h"
 #include "relational/column.h"
@@ -44,19 +46,26 @@ struct ColumnarLicmContext {
 };
 
 /// Evaluates a non-aggregate query tree over `db` into a batch, appending
-/// lineage variables/constraints exactly as EvaluateLicm would.
+/// derived lineage variables and their constraints to `db`. The batch
+/// instantiates, world by world, to the deterministic answer.
 Result<LicmBatch> EvaluateLicmBatch(const rel::QueryNode& node,
                                     LicmDatabase* db,
                                     ColumnarLicmContext* ctx);
 
-/// Batch counterpart of MergeDuplicates: OR-merges duplicate tuples,
-/// returning the input unchanged when the active rows are already a set.
+/// Merges duplicate tuples into one whose existence is the OR of the
+/// duplicates' (needed before aggregates, so that each distinct tuple
+/// counts once per world), returning the input unchanged when the active
+/// rows are already a set.
 Result<LicmBatch> MergeDuplicatesBatch(const LicmBatch& in,
                                        ColumnarLicmContext* ctx);
 
+/// The `col` of NumericColumnBatch that stands for COUNT(*): every tuple
+/// counts once.
+inline constexpr size_t kCountColumn = static_cast<size_t>(-1);
+
 /// Gathers column `col` of the active rows as doubles plus the parallel
-/// Ext attributes (MIN/MAX case analysis input). The column must be
-/// numeric.
+/// Ext attributes (the aggregate objective and the MIN/MAX case analysis
+/// input). The column must be numeric; kCountColumn gathers 1 per row.
 void NumericColumnBatch(const LicmBatch& in, size_t col,
                         ColumnarLicmContext* ctx, std::vector<double>* values,
                         std::vector<Ext>* exts);

@@ -1,31 +1,18 @@
-// LICM query evaluation: walks the same logical query trees as the
-// deterministic engine, but over LICM relations — producing a result
-// relation whose constraints encode the answer in every possible world
-// (Section IV), and answering aggregate roots with exact bounds
-// (Section IV-D).
+// LICM aggregate answering: evaluates the same logical query trees as the
+// deterministic engine, but over LICM relations (columnar_ops.h), producing
+// constraints that encode the answer in every possible world (Section IV),
+// and answers the aggregate root with exact bounds (Section IV-D).
 #ifndef LICM_LICM_EVALUATOR_H_
 #define LICM_LICM_EVALUATOR_H_
 
 #include "licm/aggregate.h"
 #include "licm/licm_relation.h"
-#include "relational/engine.h"
 #include "relational/query.h"
 
 namespace licm {
 
-/// Evaluates a non-aggregate query tree against `db`, appending lineage
-/// variables/constraints to it. The result is an LICM relation that
-/// instantiates, world by world, to the deterministic answer.
-Result<LicmRelation> EvaluateLicm(const rel::QueryNode& node,
-                                  LicmDatabase* db);
-
 struct AnswerOptions {
   BoundsOptions bounds;
-  /// Operator pipeline implementation. Both allocate identical variable
-  /// ids, emit identical constraints, and produce bit-identical bounds;
-  /// kRow is the straightforward tuple-at-a-time reference, kColumnar the
-  /// batch engine (columnar_ops.h).
-  rel::EvalEngine engine = rel::EvalEngine::kColumnar;
 };
 
 /// Full answer to an aggregate query, with the phase instrumentation the

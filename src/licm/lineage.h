@@ -1,12 +1,10 @@
-// Lineage-encoding primitives shared by the row (ops.cc) and columnar
-// (columnar_ops.cc) LICM operators.
+// Lineage-encoding primitives of the LICM operators (columnar_ops.cc).
 //
-// Both engines must emit EXACTLY the same pool.New() sequence and
-// constraint rows for a given logical input — that is what makes their
-// bounds bit-identical and lets the differential tests compare encodings
-// structurally. Keeping the case analyses (OR/AND lineage linking,
-// Algorithm 4's two-constraint cardinality encodings) in one place makes
-// divergence impossible rather than merely unlikely.
+// Each primitive is one case analysis of Section IV: OR/AND lineage
+// linking (Algorithms 1-3) and Algorithm 4's two-constraint cardinality
+// encodings. An operator that feeds them its tuples in a fixed row order
+// gets a fixed pool.New() sequence and fixed constraint rows, which is
+// what keeps variable ids, bounds and digests reproducible.
 #ifndef LICM_LICM_LINEAGE_H_
 #define LICM_LICM_LINEAGE_H_
 
@@ -14,9 +12,18 @@
 #include <optional>
 #include <vector>
 
-#include "licm/ops.h"
+#include "licm/licm_relation.h"
+#include "relational/query.h"
 
 namespace licm {
+
+/// Mutable variable pool + constraint set of the database being queried:
+/// where the operators append derived lineage variables and their linking
+/// constraints.
+struct OpContext {
+  VariablePool* pool;
+  ConstraintSet* constraints;
+};
 
 /// Collects the distinct maybe-variables of a tuple group; `any_certain` is
 /// set when at least one group member is certain.
@@ -69,9 +76,8 @@ struct CountGroup {
   std::vector<BVar> existence_vars;  // distinct
 };
 
-/// Folds one tuple of weight `w` into the group. Mirrors the accumulation
-/// loop of GroupPredicateImpl: existence is tracked for every tuple, the
-/// cardinality terms only for non-zero weights.
+/// Folds one tuple of weight `w` into the group: existence is tracked for
+/// every tuple, the cardinality terms only for non-zero weights.
 inline void AccumulateCount(CountGroup* cg, Ext e, int64_t w) {
   if (e.certain()) {
     cg->any_certain = true;

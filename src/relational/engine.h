@@ -30,10 +30,11 @@ class Database {
   std::unordered_map<std::string, Relation> map_;
 };
 
-/// Which physical evaluator executes the query tree. Both produce
-/// bit-identical relations (same rows, same order); kColumnar is the
-/// production engine, kRow the reference the differential tests compare
-/// against.
+/// Which physical deterministic evaluator executes the query tree. Both
+/// produce bit-identical relations (same rows, same order); kColumnar is
+/// the production engine, kRow the reference the ColumnarRelationalDiff
+/// tests compare it against. The LICM evaluator has no such switch: its
+/// one operator implementation is licm/columnar_ops.h.
 enum class EvalEngine { kColumnar, kRow };
 
 /// Evaluates a non-aggregate query tree to a relation.
@@ -51,8 +52,8 @@ Result<Relation> EvaluateColumnar(const QueryNode& node, const Database& db);
 Result<double> EvaluateAggregateColumnar(const QueryNode& node,
                                          const Database& db);
 
-/// Output schema of Product/Join column naming (exposed for the LICM
-/// evaluator, which must produce identical schemas).
+/// Output schema of Product/Join column naming (shared with the LICM
+/// operators, whose results must instantiate to this engine's relations).
 Schema ProductSchema(const Schema& left, const Schema& right);
 Schema JoinSchema(const Schema& left, const Schema& right,
                   const std::vector<std::pair<std::string, std::string>>& on);

@@ -10,9 +10,9 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "licm/aggregate.h"
+#include "licm/columnar_ops.h"
 #include "licm/evaluator.h"
 #include "licm/mutable_instance.h"
-#include "licm/ops.h"
 #include "net/wire.h"
 #include "sampler/monte_carlo.h"
 #include "service/json.h"
@@ -58,6 +58,16 @@ Result<Summary> Answer(const FuzzCase& c, const AnswerOptions& opt) {
   s.min_proved = ans->bounds.min.proved;
   s.max_proved = ans->bounds.max.proved;
   return s;
+}
+
+// Evaluates the body under the case's aggregate root through the batch
+// operators and merges duplicates, as AnswerAggregate does, appending the
+// query's lineage to `db`.
+Result<LicmBatch> EvaluateMergedBody(const FuzzCase& c, LicmDatabase* db,
+                                     ColumnarLicmContext* ctx) {
+  LICM_ASSIGN_OR_RETURN(LicmBatch body,
+                        EvaluateLicmBatch(*c.query->left, db, ctx));
+  return MergeDuplicatesBatch(body, ctx);
 }
 
 InvariantReport Pass(const char* name) { return {name, Verdict::kPass, ""}; }
@@ -140,16 +150,6 @@ InvariantReport CheckOrder(const CaseContext& ctx) {
                           "]");
   }
   return Pass(name);
-}
-
-InvariantReport CheckColumnar(const CaseContext& ctx) {
-  // The baseline runs the columnar batch pipeline (the default engine);
-  // this re-solve runs the row-at-a-time reference. Both must allocate the
-  // same lineage variables and emit the same constraints, so the final
-  // bounds are bit-identical — no tolerance.
-  AnswerOptions opt = BaselineOptions();
-  opt.engine = rel::EvalEngine::kRow;
-  return CompareWithBaseline("columnar", ctx, opt, "row engine");
 }
 
 InvariantReport CheckPrune(const CaseContext& ctx) {
@@ -325,13 +325,13 @@ InvariantReport CheckWitness(const CaseContext& ctx) {
   // on the evaluated instance (base rows plus the query's lineage rows):
   // once over every row, once over the remainder pruning drops.
   LicmDatabase db = ctx.c->db;
-  auto body = EvaluateLicm(*ctx.c->query->left, &db);
-  if (!body.ok()) return Skip(name, "evaluate: " + body.status().ToString());
-  OpContext op{&db.pool(), &db.constraints()};
-  auto result = MergeDuplicates(*body, op);
-  if (!result.ok()) return Skip(name, "merge: " + result.status().ToString());
+  ColumnarLicmContext eval(OpContext{&db.pool(), &db.constraints()});
+  auto result = EvaluateMergedBody(*ctx.c, &db, &eval);
+  if (!result.ok()) return Skip(name, "evaluate: " + result.status().ToString());
   std::vector<BVar> seeds;
-  for (const Ext& e : result->exts()) {
+  const uint32_t* active = rel::ActiveRows(result->view, &eval.arena);
+  for (size_t i = 0; i < result->view.active; ++i) {
+    const Ext e = result->exts[active[i]];
     if (!e.certain()) seeds.push_back(e.var());
   }
 
@@ -922,8 +922,6 @@ const std::vector<Invariant>& AllInvariants() {
        CheckOracle},
       {"order", "MIN <= MAX and proved bounds envelope values and oracle",
        CheckOrder},
-      {"columnar", "bit-identical bounds from the columnar and row engines",
-       CheckColumnar},
       {"prune", "bit-identical bounds with pruning off", CheckPrune},
       {"presolve", "bit-identical bounds with presolve off", CheckPresolve},
       {"cache", "bit-identical bounds with the solve cache off", CheckCache},
@@ -979,9 +977,8 @@ Result<solver::LinearProgram> BuildCaseLp(const FuzzCase& c) {
     return Status::InvalidArgument("fuzz case query is not an aggregate");
   }
   LicmDatabase db = c.db;
-  LICM_ASSIGN_OR_RETURN(LicmRelation result, EvaluateLicm(*c.query->left, &db));
-  OpContext ctx{&db.pool(), &db.constraints()};
-  LICM_ASSIGN_OR_RETURN(result, MergeDuplicates(result, ctx));
+  ColumnarLicmContext ctx(OpContext{&db.pool(), &db.constraints()});
+  LICM_ASSIGN_OR_RETURN(LicmBatch result, EvaluateMergedBody(c, &db, &ctx));
   if (c.query->kind != rel::QueryKind::kCountStar &&
       c.query->kind != rel::QueryKind::kSum) {
     return Status::InvalidArgument("BuildCaseLp: MIN/MAX roots have no "
@@ -989,21 +986,17 @@ Result<solver::LinearProgram> BuildCaseLp(const FuzzCase& c) {
   }
   // One (value, Ext) pair per tuple: 1 for COUNT(*), the SUM column's
   // value otherwise.
-  std::vector<double> values(result.size(), 1.0);
+  size_t col = kCountColumn;
   if (c.query->kind == rel::QueryKind::kSum) {
-    LICM_ASSIGN_OR_RETURN(size_t col,
-                          result.schema().IndexOf(c.query->sum_column));
-    for (size_t i = 0; i < result.size(); ++i) {
-      const rel::Value& v = result.tuple(i)[col];
-      if (rel::TypeOf(v) == rel::ValueType::kString) {
-        return Status::InvalidArgument("BuildCaseLp: SUM over a string");
-      }
-      values[i] = rel::TypeOf(v) == rel::ValueType::kInt
-                      ? static_cast<double>(std::get<int64_t>(v))
-                      : std::get<double>(v);
+    LICM_ASSIGN_OR_RETURN(col, result.view.schema.IndexOf(c.query->sum_column));
+    if (result.view.schema.column(col).type == rel::ValueType::kString) {
+      return Status::InvalidArgument("BuildCaseLp: SUM over a string");
     }
   }
-  const Objective obj = LinearObjective(values, result.exts());
+  std::vector<double> values;
+  std::vector<Ext> exts;
+  NumericColumnBatch(result, col, &ctx, &values, &exts);
+  const Objective obj = LinearObjective(values, exts);
   // Identity prune: every pool variable and every constraint stays, the
   // same program ComputeBounds builds with options.prune == false.
   const PruneResult all = KeepAll(db.constraints(), db.pool().size());

@@ -1,8 +1,9 @@
 // Columnar engine tests: unit tests for the batch primitives (arena,
 // dictionary, bitmaps, grouping) and randomized differential tests pinning
-// the columnar engines to their row-at-a-time references — bit-identical
-// relations (rows AND order) for the deterministic engine, bit-identical
-// lineage (variables, constraints, bounds) for the LICM pipeline.
+// the deterministic columnar engine to its row-at-a-time reference —
+// bit-identical relations, rows AND order. (The LICM operators have one
+// implementation; their reference is possible-world enumeration, in
+// licm_oracle_test.)
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -11,14 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "licm/columnar_ops.h"
-#include "licm/evaluator.h"
-#include "licm/ops.h"
 #include "relational/arena.h"
 #include "relational/batch.h"
 #include "relational/column.h"
 #include "relational/engine.h"
-#include "testing/generator.h"
 
 namespace licm {
 namespace {
@@ -270,91 +267,6 @@ TEST(ColumnarRelationalDiff, AggregatesMatchRowEngine) {
     }
     // Float sums accumulate in the same order, so exact equality holds.
     EXPECT_EQ(*columnar, *row) << "seed " << base_seed + i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Randomized differential: LICM pipeline (lineage structure and bounds).
-
-TEST(ColumnarLicmDiff, IdenticalLineageAndRelations) {
-  const uint64_t base_seed = FuzzSeedFromEnv(0x11C3ULL);
-  for (int i = 0; i < 150; ++i) {
-    const testing::FuzzCase c =
-        testing::GenerateCase(base_seed + static_cast<uint64_t>(i));
-
-    LicmDatabase row_db = c.db;
-    auto row_rel = EvaluateLicm(*c.query->left, &row_db);
-
-    LicmDatabase col_db = c.db;
-    ColumnarLicmContext ctx(OpContext{&col_db.pool(), &col_db.constraints()});
-    auto batch = EvaluateLicmBatch(*c.query->left, &col_db, &ctx);
-
-    ASSERT_EQ(row_rel.ok(), batch.ok())
-        << "seed " << base_seed + i << ": row="
-        << (row_rel.ok() ? "ok" : row_rel.status().ToString()) << " columnar="
-        << (batch.ok() ? "ok" : batch.status().ToString());
-    if (!row_rel.ok()) {
-      EXPECT_EQ(row_rel.status().ToString(), batch.status().ToString());
-      continue;
-    }
-
-    // Same derived variables and same constraints, in the same order.
-    EXPECT_EQ(row_db.pool().size(), col_db.pool().size())
-        << "seed " << base_seed + i;
-    ASSERT_EQ(row_db.constraints().size(), col_db.constraints().size())
-        << "seed " << base_seed + i;
-    for (size_t k = 0; k < row_db.constraints().size(); ++k) {
-      EXPECT_EQ(row_db.constraints().constraints()[k],
-                col_db.constraints().constraints()[k])
-          << "seed " << base_seed + i << " constraint " << k;
-    }
-
-    // Same result relation: rows, order, and Ext attributes.
-    const LicmRelation got = BatchToLicmRelation(*batch, &ctx);
-    ASSERT_TRUE(got.schema() == row_rel->schema()) << "seed " << base_seed + i;
-    ASSERT_EQ(got.size(), row_rel->size()) << "seed " << base_seed + i;
-    for (size_t r = 0; r < got.size(); ++r) {
-      EXPECT_EQ(got.tuple(r), row_rel->tuple(r))
-          << "seed " << base_seed + i << " row " << r;
-      EXPECT_EQ(got.ext(r), row_rel->ext(r))
-          << "seed " << base_seed + i << " row " << r << ": "
-          << got.ext(r).ToString() << " vs " << row_rel->ext(r).ToString();
-    }
-  }
-}
-
-TEST(ColumnarLicmDiff, BitIdenticalBounds) {
-  const uint64_t base_seed = FuzzSeedFromEnv(0xB0B0ULL);
-  for (int i = 0; i < 60; ++i) {
-    const testing::FuzzCase c =
-        testing::GenerateCase(base_seed + static_cast<uint64_t>(i));
-    AnswerOptions row_opt;
-    row_opt.engine = rel::EvalEngine::kRow;
-    row_opt.bounds.mip.num_threads = 1;
-    AnswerOptions col_opt;
-    col_opt.engine = rel::EvalEngine::kColumnar;
-    col_opt.bounds.mip.num_threads = 1;
-
-    const auto row = AnswerAggregate(*c.query, c.db, row_opt);
-    const auto col = AnswerAggregate(*c.query, c.db, col_opt);
-    ASSERT_EQ(row.ok(), col.ok()) << "seed " << base_seed + i;
-    if (!row.ok()) {
-      EXPECT_EQ(row.status().code(), col.status().code())
-          << "seed " << base_seed + i;
-      continue;
-    }
-    EXPECT_EQ(row->bounds.min.value, col->bounds.min.value)
-        << "seed " << base_seed + i;
-    EXPECT_EQ(row->bounds.max.value, col->bounds.max.value)
-        << "seed " << base_seed + i;
-    EXPECT_EQ(row->bounds.min.exact, col->bounds.min.exact)
-        << "seed " << base_seed + i;
-    EXPECT_EQ(row->bounds.max.exact, col->bounds.max.exact)
-        << "seed " << base_seed + i;
-    EXPECT_EQ(row->vars_at_query, col->vars_at_query)
-        << "seed " << base_seed + i;
-    EXPECT_EQ(row->constraints_at_query, col->constraints_at_query)
-        << "seed " << base_seed + i;
   }
 }
 

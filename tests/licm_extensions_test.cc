@@ -9,8 +9,8 @@
 
 #include "common/rng.h"
 #include "licm/evaluator.h"
-#include "licm/ops.h"
 #include "licm/worlds.h"
+#include "licm_eval_helper.h"
 #include "relational/engine.h"
 
 namespace licm {
@@ -55,8 +55,9 @@ TEST(SumPredicate, LicmEncodingTracksWeightedSum) {
   r.AppendUnchecked({int64_t{1}, int64_t{0}, int64_t{2}}, Ext::Certain());
   r.AppendUnchecked({int64_t{1}, int64_t{1}, int64_t{3}}, Ext::Maybe(b0));
   r.AppendUnchecked({int64_t{1}, int64_t{2}, int64_t{5}}, Ext::Maybe(b1));
-  OpContext ctx{&db.pool(), &db.constraints()};
-  auto out = SumPredicateOp(r, "tid", "price", CmpOp::kGe, 6, ctx);
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+  auto out = EvaluateToRelation(
+      *rel::SumPredicate(rel::Scan("r"), "tid", "price", CmpOp::kGe, 6), &db);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out->size(), 1u);
   ASSERT_FALSE(out->ext(0).certain());
@@ -78,8 +79,9 @@ TEST(SumPredicate, CertainAndExcludedCases) {
   r.AppendUnchecked({int64_t{1}, int64_t{0}, int64_t{10}}, Ext::Certain());
   // T2: max possible 5 -> SUM >= 8 impossible.
   r.AppendUnchecked({int64_t{2}, int64_t{0}, int64_t{5}}, Ext::Maybe(b));
-  OpContext ctx{&db.pool(), &db.constraints()};
-  auto out = SumPredicateOp(r, "tid", "price", CmpOp::kGe, 8, ctx);
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+  auto out = EvaluateToRelation(
+      *rel::SumPredicate(rel::Scan("r"), "tid", "price", CmpOp::kGe, 8), &db);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
   EXPECT_TRUE(out->ext(0).certain());
@@ -87,14 +89,21 @@ TEST(SumPredicate, CertainAndExcludedCases) {
 
 TEST(SumPredicate, RejectsNegativeAndNonIntWeights) {
   LicmDatabase db;
-  OpContext ctx{&db.pool(), &db.constraints()};
   LicmRelation r(PricedSchema());
   r.AppendUnchecked({int64_t{1}, int64_t{0}, int64_t{-2}}, Ext::Certain());
-  EXPECT_FALSE(SumPredicateOp(r, "tid", "price", CmpOp::kGe, 1, ctx).ok());
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+  auto negative = EvaluateToRelation(
+      *rel::SumPredicate(rel::Scan("r"), "tid", "price", CmpOp::kGe, 1), &db);
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().code(), StatusCode::kUnimplemented);
   LicmRelation s(rel::Schema(
       {{"tid", ValueType::kInt}, {"w", ValueType::kDouble}}));
   s.AppendUnchecked({int64_t{1}, 0.5}, Ext::Certain());
-  EXPECT_FALSE(SumPredicateOp(s, "tid", "w", CmpOp::kGe, 1, ctx).ok());
+  LICM_CHECK_OK(db.AddRelation("s", std::move(s)));
+  auto non_int = EvaluateToRelation(
+      *rel::SumPredicate(rel::Scan("s"), "tid", "w", CmpOp::kGe, 1), &db);
+  ASSERT_FALSE(non_int.ok());
+  EXPECT_EQ(non_int.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---- MIN/MAX unit behaviour ----

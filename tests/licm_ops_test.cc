@@ -1,7 +1,5 @@
 // Tests for the LICM model and operators, built around the paper's own
 // running examples (Figures 2-4, Examples 6-8).
-#include "licm/ops.h"
-
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +9,7 @@
 #include "licm/evaluator.h"
 #include "licm/lineage.h"
 #include "licm/worlds.h"
+#include "licm_eval_helper.h"
 
 namespace licm {
 namespace {
@@ -165,9 +164,11 @@ TEST(Example6, IntersectionLineage) {
   BVar b3 = db.pool().New(), b4 = db.pool().New();
   r2.AppendUnchecked({int64_t{1}, std::string("wine")}, Ext::Maybe(b3));
   r2.AppendUnchecked({int64_t{2}, std::string("beer")}, Ext::Maybe(b4));
+  LICM_CHECK_OK(db.AddRelation("r1", std::move(r1)));
+  LICM_CHECK_OK(db.AddRelation("r2", std::move(r2)));
 
-  OpContext ctx{&db.pool(), &db.constraints()};
-  auto out = IntersectOp(r1, r2, ctx);
+  auto out = EvaluateToRelation(
+      *rel::Intersect(rel::Scan("r1"), rel::Scan("r2")), &db);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 2u);
   // (T1, wine) gets a fresh AND variable; (T2, beer) reuses b4 because the
@@ -190,9 +191,8 @@ TEST(Example6, IntersectionLineage) {
 TEST(Example7, ProjectionCases) {
   std::vector<BVar> vars;
   LicmDatabase db = Figure4b(&vars);
-  OpContext ctx{&db.pool(), &db.constraints()};
-  const LicmRelation& r = *db.GetRelation("trans_item").value();
-  auto out = ProjectOp(r, {"tid"}, ctx);
+  auto out =
+      EvaluateToRelation(*rel::Project(rel::Scan("trans_item"), {"tid"}), &db);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 3u);
 
@@ -247,8 +247,9 @@ TEST(CountPredicate, CertainAndExcludedCases) {
   r.AppendUnchecked({int64_t{3}, std::string("a")}, Ext::Certain());
   r.AppendUnchecked({int64_t{3}, std::string("b")}, Ext::Maybe(b));
 
-  OpContext ctx{&db.pool(), &db.constraints()};
-  auto out = CountPredicateOp(r, "tid", CmpOp::kGe, 2, ctx);
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+  auto out = EvaluateToRelation(
+      *rel::CountPredicate(rel::Scan("r"), "tid", CmpOp::kGe, 2), &db);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 2u);  // T1 certain, T3 variable; T2 excluded
   EXPECT_TRUE(out->ext(0).certain());
@@ -272,8 +273,9 @@ TEST(CountPredicate, CountLeEncoding) {
   r.AppendUnchecked({int64_t{1}, std::string("a")}, Ext::Certain());
   r.AppendUnchecked({int64_t{1}, std::string("b")}, Ext::Maybe(b1));
   r.AppendUnchecked({int64_t{1}, std::string("c")}, Ext::Maybe(b2));
-  OpContext ctx{&db.pool(), &db.constraints()};
-  auto out = CountPredicateOp(r, "tid", CmpOp::kLe, 1, ctx);
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+  auto out = EvaluateToRelation(
+      *rel::CountPredicate(rel::Scan("r"), "tid", CmpOp::kLe, 1), &db);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
   ASSERT_FALSE(out->ext(0).certain());
@@ -292,8 +294,9 @@ TEST(CountPredicate, CountEqViaAnd) {
   BVar b1 = db.pool().New(), b2 = db.pool().New();
   r.AppendUnchecked({int64_t{1}, std::string("a")}, Ext::Maybe(b1));
   r.AppendUnchecked({int64_t{1}, std::string("b")}, Ext::Maybe(b2));
-  OpContext ctx{&db.pool(), &db.constraints()};
-  auto out = CountPredicateOp(r, "tid", CmpOp::kEq, 1, ctx);
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+  auto out = EvaluateToRelation(
+      *rel::CountPredicate(rel::Scan("r"), "tid", CmpOp::kEq, 1), &db);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
   const BVar derived = out->ext(0).var();
@@ -308,8 +311,9 @@ TEST(CountPredicate, NeUnimplemented) {
   LicmDatabase db;
   LicmRelation r(TransItemSchema());
   r.AppendUnchecked({int64_t{1}, std::string("a")}, Ext::Certain());
-  OpContext ctx{&db.pool(), &db.constraints()};
-  auto out = CountPredicateOp(r, "tid", CmpOp::kNe, 1, ctx);
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+  auto out = EvaluateToRelation(
+      *rel::CountPredicate(rel::Scan("r"), "tid", CmpOp::kNe, 1), &db);
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kUnimplemented);
 }
@@ -322,8 +326,8 @@ TEST(MergeDuplicates, NoDuplicatesIsIdentity) {
   BVar b = db.pool().New();
   r.AppendUnchecked({int64_t{1}, std::string("a")}, Ext::Maybe(b));
   r.AppendUnchecked({int64_t{2}, std::string("a")}, Ext::Certain());
-  OpContext ctx{&db.pool(), &db.constraints()};
-  auto out = MergeDuplicates(r, ctx);
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+  auto out = EvaluateToRelation(*rel::Scan("r"), &db);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), 2u);
   EXPECT_EQ(db.pool().size(), 1u);  // no new variables
@@ -335,8 +339,8 @@ TEST(MergeDuplicates, OrMergesDuplicateTuples) {
   BVar b1 = db.pool().New(), b2 = db.pool().New();
   r.AppendUnchecked({int64_t{1}, std::string("a")}, Ext::Maybe(b1));
   r.AppendUnchecked({int64_t{1}, std::string("a")}, Ext::Maybe(b2));
-  OpContext ctx{&db.pool(), &db.constraints()};
-  auto out = MergeDuplicates(r, ctx);
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+  auto out = EvaluateToRelation(*rel::Scan("r"), &db);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 1u);
   const BVar merged = out->ext(0).var();

@@ -22,18 +22,6 @@
 namespace licm::metrics {
 namespace {
 
-// Tests that assert observed values self-skip in LICM_METRICS_DISABLED
-// builds, where every update is a no-op by design; the structural tests
-// (bucket math, pointer stability, rendering shape) still run there.
-#if defined(LICM_METRICS_DISABLED)
-#define SKIP_IF_METRICS_DISABLED() \
-  GTEST_SKIP() << "metrics updates compiled out"
-#else
-#define SKIP_IF_METRICS_DISABLED() \
-  do {                             \
-  } while (false)
-#endif
-
 // Exact reference quantile, matching the snapshot's rank convention
 // (rank = q * (count - 1), linear interpolation between order stats).
 double ExactQuantile(std::vector<double> values, double q) {
@@ -46,7 +34,6 @@ double ExactQuantile(std::vector<double> values, double q) {
 }
 
 TEST(Histogram, QuantilesTrackExactReferenceWithinBucketWidth) {
-  SKIP_IF_METRICS_DISABLED();
   std::mt19937_64 rng(7);
   // Mixed regimes: sub-millisecond, uniform mid-range, and a heavy tail,
   // like a realistic latency distribution.
@@ -97,7 +84,6 @@ TEST(Histogram, BucketBoundariesRoundTrip) {
 }
 
 TEST(Histogram, EdgeValuesLandInUnderflowAndOverflow) {
-  SKIP_IF_METRICS_DISABLED();
   EXPECT_EQ(0, Histogram::BucketIndex(0.0));
   EXPECT_EQ(0, Histogram::BucketIndex(-1.0));
   EXPECT_EQ(0, Histogram::BucketIndex(1e-30));
@@ -132,7 +118,6 @@ TEST(Histogram, EmptySnapshotIsZeroEverywhere) {
 // Multithreaded hammer: totals must be exact across shards. CI runs this
 // binary under TSan, which also checks the relaxed-atomics discipline.
 TEST(Metrics, ConcurrentUpdatesCountExactly) {
-  SKIP_IF_METRICS_DISABLED();
   Counter counter;
   Gauge gauge;
   Histogram hist;
@@ -157,7 +142,6 @@ TEST(Metrics, ConcurrentUpdatesCountExactly) {
 }
 
 TEST(Registry, SeriesPointersAreStableAndLabelScoped) {
-  SKIP_IF_METRICS_DISABLED();
   MetricsRegistry& reg = MetricsRegistry::Default();
   Counter* a = reg.GetCounter("test_registry_total", {{"case", "a"}});
   Counter* b = reg.GetCounter("test_registry_total", {{"case", "b"}});
@@ -177,7 +161,6 @@ TEST(Registry, SeriesPointersAreStableAndLabelScoped) {
 }
 
 TEST(Registry, RenderPrometheusExposesAllThreeTypes) {
-  SKIP_IF_METRICS_DISABLED();
   MetricsRegistry& reg = MetricsRegistry::Default();
   reg.GetCounter("test_prom_hits_total", {{"kind", "x"}})->Increment(5);
   reg.GetGauge("test_prom_depth")->Set(2.5);
@@ -199,7 +182,6 @@ TEST(Registry, RenderPrometheusExposesAllThreeTypes) {
 }
 
 TEST(Registry, RenderJsonParsesAndCarriesQuantiles) {
-  SKIP_IF_METRICS_DISABLED();
   MetricsRegistry& reg = MetricsRegistry::Default();
   Histogram* h = reg.GetHistogram("test_json_latency_ms");
   for (int i = 1; i <= 100; ++i) h->Observe(static_cast<double>(i));
@@ -220,15 +202,6 @@ TEST(Registry, RenderJsonParsesAndCarriesQuantiles) {
   }
   EXPECT_TRUE(found);
 }
-
-#if defined(LICM_METRICS_DISABLED)
-TEST(Registry, DisabledBuildRendersZeros) {
-  MetricsRegistry& reg = MetricsRegistry::Default();
-  Counter* c = reg.GetCounter("test_disabled_total");
-  c->Increment(10);
-  EXPECT_EQ(0, c->Value());
-}
-#endif
 
 }  // namespace
 }  // namespace licm::metrics
