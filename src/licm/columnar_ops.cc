@@ -1,6 +1,5 @@
 #include "licm/columnar_ops.h"
 
-#include <cstring>
 #include <numeric>
 
 #include "licm/lineage.h"
@@ -33,10 +32,14 @@ std::vector<size_t> AllColumns(const BatchView& view) {
 // OR-linked variable; groups go in first-seen order with members
 // accumulated in row order. When the active rows are already distinct
 // every group is a singleton, GroupOrExt returns each row's own Ext, and
-// the input passes through untouched.
+// the input passes through untouched; a batch already marked distinct
+// skips the grouping too.
 LicmBatch OrMergeGroups(const LicmBatch& in, ColumnarLicmContext* ctx) {
+  if (in.distinct) return in;
   const Grouping g = rel::GroupBy(in.view, AllColumns(in.view), &ctx->arena);
-  if (g.num_groups == g.n) return in;
+  LicmBatch out = in;
+  out.distinct = true;
+  if (g.num_groups == g.n) return out;
   Ext* exts = ctx->arena.AllocArray<Ext>(in.view.rows);
   uint64_t* sel = AllocBitmap(in.view.rows, &ctx->arena);
   for (uint32_t gid = 0; gid < g.num_groups; ++gid) {
@@ -47,28 +50,39 @@ LicmBatch OrMergeGroups(const LicmBatch& in, ColumnarLicmContext* ctx) {
     exts[g.rep_row[gid]] = GroupOrExt(ge, ctx->ops);
     BitmapSet(sel, g.rep_row[gid]);
   }
-  LicmBatch out = in;
   out.view.sel = sel;
   out.view.active = g.num_groups;
   out.exts = exts;
   return out;
 }
 
+// Borrows the base relation's columns and Ext array in place. String
+// columns are the exception: their ids are re-interned into the query's
+// dictionary, each distinct string once.
 Result<LicmBatch> ScanBatch(const rel::QueryNode& node, LicmDatabase* db,
                             ColumnarLicmContext* ctx) {
   LICM_ASSIGN_OR_RETURN(const LicmRelation* r,
                         db->GetRelation(node.relation_name));
-  ctx->base_tables.push_back(
-      std::make_unique<rel::ColumnTable>(rel::ColumnTable::FromTuples(
-          r->schema(), r->tuples(), &ctx->dict)));
+  ctx->rows_scanned += r->size();
   LicmBatch b;
-  b.view = rel::TableView(*ctx->base_tables.back());
-  Ext* exts = ctx->arena.AllocArray<Ext>(r->size());
-  if (r->size() != 0) {
-    std::memcpy(exts, r->exts().data(), r->size() * sizeof(Ext));
+  b.view = rel::TableView(r->columns());
+  b.exts = r->exts().data();
+  std::vector<int64_t> query_id;  // relation dictionary id -> query id
+  for (size_t c = 0; c < b.view.cols.size(); ++c) {
+    if (b.view.schema.column(c).type != rel::ValueType::kString) continue;
+    query_id.resize(r->dict().size(), -1);
+    const int64_t* ids = b.view.cols[c].i64;
+    int64_t* out = ctx->arena.AllocArray<int64_t>(r->size());
+    for (size_t i = 0; i < r->size(); ++i) {
+      int64_t& q = query_id[static_cast<size_t>(ids[i])];
+      if (q < 0) q = ctx->dict.Intern(r->dict().str(ids[i]));
+      out[i] = q;
+    }
+    b.view.cols[c].i64 = out;
   }
-  b.exts = exts;
-  // Set semantics on base relations, mirroring dedup-on-scan.
+  // Set semantics on base relations, mirroring dedup-on-scan; a relation
+  // known to be a set would pass through the merge unchanged.
+  b.distinct = r->IsSet();
   return OrMergeGroups(b, ctx);
 }
 
@@ -185,6 +199,7 @@ Result<LicmBatch> ProductBatch(const rel::QueryNode& node, LicmDatabase* db,
     exts[p] = AndExt(l.exts[lsrc[p]], r.exts[rsrc[p]], ctx->ops);
   }
   out.exts = exts;
+  out.distinct = true;  // pairs of rows of two sets
   return out;
 }
 
@@ -254,9 +269,11 @@ Result<LicmBatch> JoinBatch(const rel::QueryNode& node, LicmDatabase* db,
     exts[p] = AndExt(l.exts[lsrc[p]], r.exts[rsrc[p]], ctx->ops);
   }
   out.exts = exts;
-  // Dropping key columns cannot merge distinct pairs when inputs are sets,
-  // but merge defensively so downstream set semantics never break.
-  return OrMergeGroups(out, ctx);
+  // Distinct, since both inputs are sets: the dropped right key columns
+  // equal the left row's keys, so two equal output rows would come from
+  // the same left row and equal right rows, i.e. the same pair.
+  out.distinct = true;
+  return out;
 }
 
 // Mid-tree group predicate over the already-merged input: Algorithm 4 per
@@ -321,6 +338,7 @@ Result<LicmBatch> GroupPredicateBatch(const LicmBatch& merged, size_t gidx,
   out.view.cols[0].i64 = out_i64;
   out.view.cols[0].f64 = out_f64;
   out.exts = out_exts;
+  out.distinct = true;  // one row per group value
   return out;
 }
 

@@ -13,7 +13,6 @@
 #ifndef LICM_LICM_COLUMNAR_OPS_H_
 #define LICM_LICM_COLUMNAR_OPS_H_
 
-#include <memory>
 #include <vector>
 
 #include "licm/licm_relation.h"
@@ -27,22 +26,27 @@ namespace licm {
 
 /// A batch of LICM tuples: normal attributes as column spans + selection,
 /// Ext attributes in an array parallel to the physical rows (only active
-/// rows' entries are meaningful).
+/// rows' entries are meaningful). `distinct` records that the active rows
+/// are already a set, so merging duplicates would return the batch
+/// unchanged and is skipped.
 struct LicmBatch {
   rel::BatchView view;
   const Ext* exts = nullptr;
+  bool distinct = false;
 };
 
 /// Per-evaluation columnar state: the arena owning all transient buffers
-/// (columns, bitmaps, Ext arrays), the string dictionary, the converted
-/// base tables, and the database's pool/constraint context.
+/// (columns, bitmaps, Ext arrays), the query's string dictionary, the
+/// database's pool/constraint context, and the number of base rows the
+/// scans borrowed. Scans read the base relations' own columns, so the
+/// database must outlive every batch evaluated from it.
 struct ColumnarLicmContext {
   explicit ColumnarLicmContext(OpContext ops) : ops(ops) {}
 
   OpContext ops;
   rel::Arena arena;
   rel::StringDictionary dict;
-  std::vector<std::unique_ptr<rel::ColumnTable>> base_tables;
+  size_t rows_scanned = 0;
 };
 
 /// Evaluates a non-aggregate query tree over `db` into a batch, appending

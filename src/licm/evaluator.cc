@@ -13,12 +13,10 @@ namespace licm {
 namespace {
 
 // Batch-path totals, flushed once per aggregate answer (DESIGN.md §12):
-// base-relation rows fed into the operator pipeline, lineage constraints
-// the evaluation appended, and arena bytes the batch views consumed.
-void RecordQueryMetrics(const ColumnarLicmContext& ctx,
-                        size_t constraints_emitted, size_t arena_bytes) {
-  size_t rows_scanned = 0;
-  for (const auto& t : ctx.base_tables) rows_scanned += t->num_rows();
+// base-relation rows the scans borrowed, lineage constraints the
+// evaluation appended, and arena bytes the batch views consumed.
+void RecordQueryMetrics(size_t rows_scanned, size_t constraints_emitted,
+                        size_t arena_bytes) {
   auto& reg = metrics::MetricsRegistry::Default();
   const metrics::Labels labels{{"engine", "columnar"}};
   reg.GetCounter("licm_query_rows_scanned_total", labels)
@@ -58,10 +56,11 @@ Result<AggregateAnswer> AnswerAggregate(const rel::QueryNode& query,
   const size_t cons_before = db.constraints().size();
 
   telemetry::ScopedSpan eval_span("licm", "query_eval");
-  // The columnar context (arena, base-table copies) lives until the answer
+  // The columnar context (arena, dictionary) lives until the answer
   // returns on purpose: freed before the solve, its large blocks get split
-  // by the solver's small allocations, and the next answer's scans fault in
-  // fresh pages (about 30 % more paper-offline eval time).
+  // by the solver's small allocations, and the next answer's operators
+  // fault in fresh pages. The scans themselves copy nothing: they borrow
+  // the base relations' columns, which `db` shares with the caller.
   ColumnarLicmContext ctx(OpContext{&db.pool(), &db.constraints()});
   LICM_ASSIGN_OR_RETURN(LicmBatch result,
                         EvaluateLicmBatch(*query.left, &db, &ctx));
@@ -74,7 +73,8 @@ Result<AggregateAnswer> AnswerAggregate(const rel::QueryNode& query,
   std::vector<Ext> exts;
   NumericColumnBatch(result, col, &ctx, &values, &exts);
   eval_span.End();
-  RecordQueryMetrics(ctx, db.constraints().size() - cons_before, arena_bytes);
+  RecordQueryMetrics(ctx.rows_scanned, db.constraints().size() - cons_before,
+                     arena_bytes);
   telemetry::ScopedSpan solve_span("licm", "solve");
 
   AggregateAnswer out;

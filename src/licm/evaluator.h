@@ -38,7 +38,9 @@ struct AggregateAnswer {
 /// lower/upper bounds. `db` is taken by value: evaluation appends derived
 /// variables and constraints that the caller's database should not keep.
 /// The copy shares the caller's relations (LicmDatabase copies share them),
-/// so it costs the variable pool and the constraint set, not the tuples.
+/// so it costs the variable pool and the constraint set, not the tuples;
+/// each scan then borrows its relation's columns in place, and only a
+/// relation holding duplicate tuples is OR-merged on the way in.
 Result<AggregateAnswer> AnswerAggregate(const rel::QueryNode& query,
                                         LicmDatabase db,
                                         const AnswerOptions& options = {});

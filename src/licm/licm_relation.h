@@ -7,12 +7,14 @@
 #ifndef LICM_LICM_LICM_RELATION_H_
 #define LICM_LICM_LICM_RELATION_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "licm/constraint.h"
+#include "relational/column.h"
 #include "relational/engine.h"
 #include "relational/relation.h"
 
@@ -49,39 +51,51 @@ class Ext {
   BVar value_;
 };
 
-/// A relation of schema {A1..Ak, Ext}. Normal attributes live in `tuples`,
-/// the parallel `exts` array holds each tuple's Ext attribute.
+/// A relation of schema {A1..Ak, Ext}, stored column by column: one typed
+/// vector per normal attribute (string cells hold ids into the relation's
+/// own dictionary) plus the parallel `exts` array. Query scans borrow the
+/// columns in place (columnar_ops.h); the row accessors build tuples from
+/// the columns on demand.
 class LicmRelation {
  public:
   LicmRelation() = default;
-  explicit LicmRelation(rel::Schema schema) : schema_(std::move(schema)) {}
+  explicit LicmRelation(rel::Schema schema) : columns_(std::move(schema)) {}
 
-  const rel::Schema& schema() const { return schema_; }
-  size_t size() const { return tuples_.size(); }
-  bool empty() const { return tuples_.empty(); }
+  const rel::Schema& schema() const { return columns_.schema(); }
+  size_t size() const { return exts_.size(); }
+  bool empty() const { return exts_.empty(); }
 
-  const std::vector<rel::Tuple>& tuples() const { return tuples_; }
+  /// The normal attributes; string columns hold ids into dict().
+  const rel::ColumnTable& columns() const { return columns_; }
+  const rel::StringDictionary& dict() const { return dict_; }
   const std::vector<Ext>& exts() const { return exts_; }
-  const rel::Tuple& tuple(size_t i) const { return tuples_[i]; }
   Ext ext(size_t i) const { return exts_[i]; }
 
-  Status Append(rel::Tuple t, Ext ext) {
-    LICM_RETURN_NOT_OK(schema_.Check(t));
-    AppendUnchecked(std::move(t), ext);
+  /// Tuple `i`, built from the columns.
+  rel::Tuple tuple(size_t i) const;
+  /// Every tuple in row order, built from the columns.
+  std::vector<rel::Tuple> tuples() const;
+  /// Whether tuple `i` equals `t` (Value equality: type-strict, doubles by
+  /// ==), compared in place without building tuple `i`.
+  bool RowEquals(size_t i, const rel::Tuple& t) const;
+
+  Status Append(const rel::Tuple& t, Ext ext) {
+    LICM_RETURN_NOT_OK(schema().Check(t));
+    AppendUnchecked(t, ext);
     return Status::OK();
   }
-  void AppendUnchecked(rel::Tuple t, Ext ext) {
-    tuples_.push_back(std::move(t));
-    exts_.push_back(ext);
-  }
+  /// Appends a tuple whose cell types match the schema.
+  void AppendUnchecked(const rel::Tuple& t, Ext ext);
 
   /// Removes the tuple (and its Ext) at position `i`; later tuples shift
   /// down. Used by MutableInstance retractions.
-  void RemoveAt(size_t i) {
-    LICM_CHECK(i < tuples_.size());
-    tuples_.erase(tuples_.begin() + static_cast<ptrdiff_t>(i));
-    exts_.erase(exts_.begin() + static_cast<ptrdiff_t>(i));
-  }
+  void RemoveAt(size_t i);
+
+  /// Whether no two tuples are equal (set semantics already hold), so a
+  /// scan can skip the OR-merge of duplicates. Computed on the first call
+  /// and kept until the next Append or RemoveAt; concurrent readers may
+  /// both compute it, and they store the same answer.
+  bool IsSet() const;
 
   /// Instantiates this relation in the possible world selected by
   /// `assignment` (Section III): keeps tuples whose Ext evaluates to 1,
@@ -94,9 +108,25 @@ class LicmRelation {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  rel::Schema schema_;
-  std::vector<rel::Tuple> tuples_;
+  enum : uint8_t { kSetUnknown, kSet, kNotSet };
+  // An atomic that copies by value, so relations stay copyable (the
+  // copy-on-write clone in LicmDatabase::GetMutableRelation).
+  struct SetState {
+    std::atomic<uint8_t> value{kSetUnknown};
+    SetState() = default;
+    SetState(const SetState& o)
+        : value(o.value.load(std::memory_order_relaxed)) {}
+    SetState& operator=(const SetState& o) {
+      value.store(o.value.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+      return *this;
+    }
+  };
+
+  rel::ColumnTable columns_;
+  rel::StringDictionary dict_;
   std::vector<Ext> exts_;
+  mutable SetState set_state_;
 };
 
 /// An LICM database D = (R, C): named relations, the variable pool B and
@@ -106,15 +136,16 @@ class LicmRelation {
 /// copying a database copies the pool, the constraint set and one pointer
 /// per relation. Query evaluation only ever grows the pool and the
 /// constraint set, so a per-answer copy costs what those hold, not the
-/// base tuples.
+/// base columns.
 class LicmDatabase {
  public:
   Status AddRelation(std::string name, LicmRelation r);
   Result<const LicmRelation*> GetRelation(const std::string& name) const;
   /// Mutable lookup for the mutation layer (licm/mutable_instance.h);
   /// query evaluation only ever uses the const accessor. Copy-on-write: a
-  /// relation still shared with another database copy is cloned first, so
-  /// the other copies keep their tuples. The pointer stays valid, and
+  /// relation still shared with another database copy is cloned first
+  /// (its column vectors, dictionary and Ext array), so the other copies
+  /// keep their tuples. The pointer stays valid, and
   /// private to this database, until the database is copied.
   Result<LicmRelation*> GetMutableRelation(const std::string& name);
 

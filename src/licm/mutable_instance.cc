@@ -138,7 +138,7 @@ Result<MutationResult> MutableInstance::RetractTuples(
   for (const rel::Tuple& row : rows) {
     bool found = false;
     for (size_t i = 0; i < rel->size(); ++i) {
-      if (rel->tuple(i) != row) continue;
+      if (!rel->RowEquals(i, row)) continue;
       if (std::find(victims.begin(), victims.end(), i) != victims.end())
         continue;
       victims.push_back(i);

@@ -14,13 +14,8 @@ void ColumnTable::Reserve(size_t rows) {
 
 ColumnTable ColumnTable::FromRows(const Relation& rows,
                                   StringDictionary* dict) {
-  return FromTuples(rows.schema(), rows.rows(), dict);
-}
-
-ColumnTable ColumnTable::FromTuples(const Schema& schema,
-                                    const std::vector<Tuple>& tuples,
-                                    StringDictionary* dict) {
-  ColumnTable out(schema);
+  const std::vector<Tuple>& tuples = rows.rows();
+  ColumnTable out(rows.schema());
   const size_t n = tuples.size();
   out.num_rows_ = n;
   for (size_t c = 0; c < out.cols_.size(); ++c) {

@@ -103,11 +103,6 @@ class ColumnTable {
   /// when the schema has a string column).
   static ColumnTable FromRows(const Relation& rows, StringDictionary* dict);
 
-  /// Same, from a bare tuple vector (the LICM relation layout).
-  static ColumnTable FromTuples(const Schema& schema,
-                                const std::vector<Tuple>& tuples,
-                                StringDictionary* dict);
-
   /// Converts back to the row representation, in row order.
   Relation ToRows(const StringDictionary* dict) const;
 

@@ -1,5 +1,6 @@
 #include "testing/generator.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -30,17 +31,15 @@ LicmRelation MakeRelation(Rng* rng, const GeneratorOptions& opt,
   for (int tid = 1; tid <= num_tids; ++tid) {
     const int num_items =
         1 + static_cast<int>(rng->Uniform(opt.max_items_per_tid));
+    std::vector<Value> items;  // drawn so far for this tid
     for (int k = 0; k < num_items; ++k) {
       rel::Tuple t{static_cast<int64_t>(tid),
                    std::string(kItems[rng->Uniform(kNumItems)]),
                    rng->UniformInt(0, 9)};
       // Keep the base relation a set over (tid, item): duplicate-merge
       // semantics are exercised downstream by projections and joins.
-      bool dup = false;
-      for (const auto& existing : r.tuples()) {
-        dup |= existing[0] == t[0] && existing[1] == t[1];
-      }
-      if (dup) continue;
+      if (std::find(items.begin(), items.end(), t[1]) != items.end()) continue;
+      items.push_back(t[1]);
       if (rng->Bernoulli(opt.certain_prob)) {
         r.AppendUnchecked(std::move(t), Ext::Certain());
       } else if (!vars->empty() && rng->Bernoulli(opt.shared_var_prob)) {

@@ -639,7 +639,7 @@ InvariantReport CheckIncremental(const CaseContext& ctx) {
         const size_t pick = rng.Uniform(srel->size());
         const rel::Tuple victim = srel->tuple(pick);
         size_t first = 0;
-        while (srel->tuple(first) != victim) ++first;
+        while (!srel->RowEquals(first, victim)) ++first;
         srel->RemoveAt(first);
         r = inst.RetractTuples(kFuzzRelation, {victim});
         break;

@@ -99,12 +99,10 @@ TEST(Bitmap, CountSetAndIntersect) {
 }
 
 TEST(GroupBy, FirstSeenOrderAndContiguousAscendingRuns) {
-  const Schema schema({{"k", ValueType::kInt}});
-  std::vector<Tuple> tuples;
+  rel::Relation rows(Schema({{"k", ValueType::kInt}}));
   const std::vector<int64_t> keys = {7, 3, 7, 9, 3, 7};
-  for (int64_t k : keys) tuples.push_back({Value(k)});
-  const rel::ColumnTable table =
-      rel::ColumnTable::FromTuples(schema, tuples, nullptr);
+  for (int64_t k : keys) rows.AppendUnchecked({Value(k)});
+  const rel::ColumnTable table = rel::ColumnTable::FromRows(rows, nullptr);
   rel::Arena arena;
   const rel::BatchView view = rel::TableView(table);
   const rel::Grouping g = rel::GroupBy(view, {0}, &arena);
@@ -122,12 +120,10 @@ TEST(GroupBy, FirstSeenOrderAndContiguousAscendingRuns) {
 }
 
 TEST(GroupBy, DoubleKeysMergeSignedZeroNeverNaN) {
-  const Schema schema({{"x", ValueType::kDouble}});
+  rel::Relation rows(Schema({{"x", ValueType::kDouble}}));
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::vector<Tuple> tuples = {{Value(0.0)}, {Value(-0.0)}, {Value(nan)},
-                               {Value(nan)}, {Value(1.5)}};
-  const rel::ColumnTable table =
-      rel::ColumnTable::FromTuples(schema, tuples, nullptr);
+  for (double x : {0.0, -0.0, nan, nan, 1.5}) rows.AppendUnchecked({Value(x)});
+  const rel::ColumnTable table = rel::ColumnTable::FromRows(rows, nullptr);
   rel::Arena arena;
   const rel::Grouping g = rel::GroupBy(rel::TableView(table), {0}, &arena);
   // 0.0 == -0.0 merges; each NaN row is its own group (NaN != NaN), the

@@ -2,8 +2,11 @@
 // running examples (Figures 2-4, Examples 6-8).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 
+#include "common/metrics.h"
 #include "common/telemetry.h"
 #include "licm/aggregate.h"
 #include "licm/evaluator.h"
@@ -724,6 +727,21 @@ TEST(LicmDatabase, CopiesShareRelations) {
   const LicmDatabase copy = db;
   EXPECT_EQ(db.GetRelation("trans_item").value(),
             copy.GetRelation("trans_item").value());
+
+  // The column storage itself is shared until a copy mutates it.
+  auto tid_column = [](const LicmDatabase& d) {
+    return d.GetRelation("trans_item").value()->columns().col(0).i64.data();
+  };
+  const int64_t* tids = tid_column(db);
+  EXPECT_EQ(tid_column(copy), tids);
+  LicmDatabase mutated = db;
+  EXPECT_EQ(tid_column(mutated), tids);
+  LicmRelation* mine = mutated.GetMutableRelation("trans_item").value();
+  mine->AppendUnchecked({int64_t{2}, std::string("soap")}, Ext::Certain());
+  EXPECT_NE(tid_column(mutated), tids);
+  EXPECT_EQ(tid_column(db), tids);
+  EXPECT_EQ(tid_column(copy), tids);
+  EXPECT_EQ(db.GetRelation("trans_item").value()->size(), 4u);
 }
 
 TEST(LicmDatabase, MutableRelationOfACopyLeavesTheOriginal) {
@@ -744,6 +762,165 @@ TEST(LicmDatabase, MutableRelationOfACopyLeavesTheOriginal) {
   EXPECT_NE(mine->tuples(), before);
   // No longer shared: a second lookup returns the same private relation.
   EXPECT_EQ(copy.GetMutableRelation("trans_item").value(), mine);
+}
+
+TEST(LicmRelation, RowEqualsComparesInPlace) {
+  LicmRelation r(rel::Schema({{"tid", ValueType::kInt},
+                              {"item", ValueType::kString},
+                              {"price", ValueType::kDouble}}));
+  r.AppendUnchecked({int64_t{1}, std::string("beer"), 0.0}, Ext::Certain());
+  EXPECT_TRUE(r.RowEquals(0, {int64_t{1}, std::string("beer"), 0.0}));
+  EXPECT_TRUE(r.RowEquals(0, {int64_t{1}, std::string("beer"), -0.0}));
+  EXPECT_FALSE(r.RowEquals(0, {int64_t{2}, std::string("beer"), 0.0}));
+  EXPECT_FALSE(r.RowEquals(0, {int64_t{1}, std::string("wine"), 0.0}));
+  // Type-strict, like Value equality: an int never equals a double.
+  EXPECT_FALSE(r.RowEquals(0, {int64_t{1}, std::string("beer"), int64_t{0}}));
+  EXPECT_FALSE(r.RowEquals(0, {int64_t{1}, std::string("beer")}));
+  EXPECT_EQ(r.tuple(0), (rel::Tuple{int64_t{1}, std::string("beer"), 0.0}));
+}
+
+// ---- Scans borrow the base relation's columns ----
+
+// n distinct (tid, price) tuples, every other one a maybe-tuple.
+LicmDatabase NumericSet(int64_t n) {
+  LicmDatabase db;
+  LicmRelation r(rel::Schema(
+      {{"tid", ValueType::kInt}, {"price", ValueType::kDouble}}));
+  for (int64_t i = 0; i < n; ++i) {
+    r.AppendUnchecked({i, 0.5 * static_cast<double>(i)},
+                      i % 2 == 0 ? Ext::Certain()
+                                 : Ext::Maybe(db.pool().New()));
+  }
+  LICM_CHECK_OK(db.AddRelation("r", std::move(r)));
+  return db;
+}
+
+TEST(ColumnarScan, BorrowsBaseColumns) {
+  auto scan_arena_bytes = [](int64_t n) {
+    LicmDatabase db = NumericSet(n);
+    const LicmRelation& r = *db.GetRelation("r").value();
+    ColumnarLicmContext ctx(OpContext{&db.pool(), &db.constraints()});
+    auto b = EvaluateLicmBatch(*rel::Scan("r"), &db, &ctx);
+    EXPECT_TRUE(b.ok());
+    if (!b.ok()) return size_t{0};
+    EXPECT_EQ(b->view.cols[0].i64, r.columns().col(0).i64.data());
+    EXPECT_EQ(b->view.cols[1].f64, r.columns().col(1).f64.data());
+    EXPECT_EQ(b->exts, r.exts().data());
+    EXPECT_TRUE(b->view.AllActive());
+    EXPECT_EQ(b->view.active, static_cast<size_t>(n));
+    EXPECT_EQ(ctx.rows_scanned, static_cast<size_t>(n));
+    return ctx.arena.bytes_allocated();
+  };
+  EXPECT_EQ(scan_arena_bytes(100), scan_arena_bytes(10000));
+}
+
+TEST(ColumnarScan, DuplicateAppendedAfterScanIsMerged) {
+  LicmDatabase db = Figure2c();
+  const auto scan = rel::Scan("trans_item");
+  {
+    ColumnarLicmContext ctx(OpContext{&db.pool(), &db.constraints()});
+    auto b = EvaluateLicmBatch(*scan, &db, &ctx);
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(b->exts, db.GetRelation("trans_item").value()->exts().data());
+    EXPECT_EQ(b->view.active, 4u);
+  }
+
+  // A second copy of (1, beer) under its own variable: beer now exists
+  // when either variable is 1.
+  LicmDatabase dup = db;
+  LicmRelation* r = dup.GetMutableRelation("trans_item").value();
+  const BVar extra = dup.pool().New();
+  r->AppendUnchecked({int64_t{1}, std::string("beer")}, Ext::Maybe(extra));
+  EXPECT_FALSE(r->IsSet());
+  {
+    const size_t vars_before = dup.pool().size();
+    ColumnarLicmContext ctx(OpContext{&dup.pool(), &dup.constraints()});
+    auto b = EvaluateLicmBatch(*scan, &dup, &ctx);
+    ASSERT_TRUE(b.ok());
+    EXPECT_NE(b->exts, r->exts().data());
+    EXPECT_EQ(b->view.rows, 5u);
+    EXPECT_EQ(b->view.active, 4u);
+    EXPECT_EQ(dup.pool().size(), vars_before + 1);  // the OR of the pair
+  }
+
+  // Bounds of COUNT(*) equal the possible-world oracle's.
+  auto assignments =
+      EnumerateValidAssignments(dup.constraints(), dup.pool().size());
+  ASSERT_TRUE(assignments.ok());
+  double lo = 1e300, hi = -1e300;
+  const auto count = rel::CountStar(scan);
+  for (const auto& a : *assignments) {
+    auto v = rel::EvaluateAggregate(*count, dup.Instantiate(a));
+    ASSERT_TRUE(v.ok());
+    lo = std::min(lo, *v);
+    hi = std::max(hi, *v);
+  }
+  auto ans = AnswerAggregate(*count, dup);
+  ASSERT_TRUE(ans.ok());
+  EXPECT_DOUBLE_EQ(ans->bounds.min.value, lo);
+  EXPECT_DOUBLE_EQ(ans->bounds.max.value, hi);
+  EXPECT_DOUBLE_EQ(hi, 4.0);
+  // The original database still scans its own, duplicate-free columns.
+  EXPECT_TRUE(db.GetRelation("trans_item").value()->IsSet());
+}
+
+TEST(ColumnarScan, RowsScannedCountsBorrowedRows) {
+  metrics::Counter* scanned = metrics::MetricsRegistry::Default().GetCounter(
+      "licm_query_rows_scanned_total", {{"engine", "columnar"}});
+  const LicmDatabase db = NumericSet(37);
+  const int64_t before = scanned->Value();
+  ASSERT_TRUE(AnswerAggregate(*rel::CountStar(rel::Scan("r")), db).ok());
+  EXPECT_EQ(scanned->Value() - before, 37);
+}
+
+TEST(ColumnarScan, ConcurrentFirstScansAgreeOnSetness) {
+  // One relation that is a set and one that holds a duplicate, both never
+  // scanned before the threads start, so their first scans race on the
+  // lazily computed set-ness.
+  auto build = [] {
+    LicmDatabase db = NumericSet(500);
+    LicmRelation dup(rel::Schema({{"tid", ValueType::kInt},
+                                  {"price", ValueType::kDouble}}));
+    for (int64_t i = 0; i < 300; ++i) {
+      dup.AppendUnchecked({i % 250, 1.0}, Ext::Maybe(db.pool().New()));
+    }
+    LICM_CHECK_OK(db.AddRelation("dup", std::move(dup)));
+    return db;
+  };
+  const auto q_set = rel::Sum(rel::Scan("r"), "price");
+  const auto q_dup = rel::CountStar(rel::Scan("dup"));
+
+  const LicmDatabase shared = build();
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<AggregateBounds> set_bounds(kThreads), dup_bounds(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      auto a = AnswerAggregate(*(t % 2 == 0 ? q_set : q_dup), shared);
+      auto b = AnswerAggregate(*(t % 2 == 0 ? q_dup : q_set), shared);
+      ASSERT_TRUE(a.ok() && b.ok());
+      (t % 2 == 0 ? set_bounds : dup_bounds)[t] = a->bounds;
+      (t % 2 == 0 ? dup_bounds : set_bounds)[t] = b->bounds;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_TRUE(shared.GetRelation("r").value()->IsSet());
+  EXPECT_FALSE(shared.GetRelation("dup").value()->IsSet());
+  const LicmDatabase fresh = build();
+  auto set_ref = AnswerAggregate(*q_set, fresh);
+  auto dup_ref = AnswerAggregate(*q_dup, fresh);
+  ASSERT_TRUE(set_ref.ok() && dup_ref.ok());
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(set_bounds[t].min.value, set_ref->bounds.min.value);
+    EXPECT_EQ(set_bounds[t].max.value, set_ref->bounds.max.value);
+    EXPECT_EQ(dup_bounds[t].min.value, dup_ref->bounds.min.value);
+    EXPECT_EQ(dup_bounds[t].max.value, dup_ref->bounds.max.value);
+  }
+  EXPECT_DOUBLE_EQ(dup_ref->bounds.max.value, 250.0);
 }
 
 }  // namespace

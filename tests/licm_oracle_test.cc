@@ -49,7 +49,7 @@ RandomDb MakeRandomDb(Rng* rng) {
       // Avoid duplicate (tid, item) pairs: merge semantics are tested
       // separately; here we keep the base relation a set.
       bool dup = false;
-      for (const auto& existing : r.tuples()) dup |= existing == t;
+      for (size_t i = 0; i < r.size(); ++i) dup |= r.RowEquals(i, t);
       if (dup) continue;
       if (rng->Bernoulli(0.25)) {
         r.AppendUnchecked(std::move(t), Ext::Certain());
