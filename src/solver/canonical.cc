@@ -235,6 +235,42 @@ CanonicalForm CanonicalizeTwin(const LinearProgram& twin,
   return out;
 }
 
+uint64_t IsomorphismInvariant(const LinearProgram& lp) {
+  const size_t n = lp.num_vars();
+  std::vector<uint32_t> degree(n, 0);
+  std::vector<uint64_t> rows;
+  rows.reserve(lp.num_rows());
+  std::vector<uint64_t> coefs;
+  for (const Row& row : lp.rows()) {
+    coefs.clear();
+    for (const Term& t : row.terms) {
+      ++degree[t.var];
+      coefs.push_back(DoubleBits(t.coef));
+    }
+    std::sort(coefs.begin(), coefs.end());
+    uint64_t h = Combine(static_cast<uint64_t>(row.op), DoubleBits(row.rhs));
+    h = Combine(h, coefs.size());
+    for (uint64_t c : coefs) h = Combine(h, c);
+    rows.push_back(h);
+  }
+  std::vector<uint64_t> vars(n);
+  for (VarId v = 0; v < n; ++v) {
+    const auto& def = lp.vars()[v];
+    uint64_t h = DoubleBits(def.lower);
+    h = Combine(h, DoubleBits(def.upper));
+    h = Combine(h, def.is_integer ? 1 : 0);
+    h = Combine(h, DoubleBits(lp.objective_coef(v)));
+    vars[v] = Combine(h, degree[v]);
+  }
+  std::sort(vars.begin(), vars.end());
+  std::sort(rows.begin(), rows.end());
+  uint64_t h = Combine(n, lp.num_rows());
+  h = Combine(h, DoubleBits(lp.objective_constant()));
+  for (uint64_t x : vars) h = Combine(h, x);
+  for (uint64_t x : rows) h = Combine(h, x);
+  return h;
+}
+
 std::vector<double> CanonicalToInput(const CanonicalForm& form,
                                      const std::vector<double>& canonical_x) {
   std::vector<double> x(canonical_x.size());

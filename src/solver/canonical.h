@@ -17,6 +17,11 @@
 // 1-WL-hard structure the tie-break can split an isomorphism class, but the
 // only cost is a missed cache hit — equality of serialized forms always
 // implies true isomorphism, so correctness never depends on the labeling.
+//
+// IsomorphismInvariant() is the cheap test in front of the labeling (the
+// invariant-before-canonical-labelling idea of McKay & Piperno, "Practical
+// graph isomorphism, II", 2014): a batch that can only hit within itself
+// labels just the programs whose invariant it sees more than once.
 #ifndef LICM_SOLVER_CANONICAL_H_
 #define LICM_SOLVER_CANONICAL_H_
 
@@ -56,6 +61,19 @@ CanonicalForm Canonicalize(const LinearProgram& lp);
 /// cache entries (a missed hit, never a wrong one).
 CanonicalForm CanonicalizeTwin(const LinearProgram& twin,
                                const CanonicalForm& form);
+
+/// Isomorphism invariant of `lp`, in O(nnz log nnz): a hash of the
+/// variable and row counts, the objective constant, the sorted multiset of
+/// per-variable (lower, upper, integrality, objective coefficient, degree)
+/// and the sorted multiset of per-row (op, rhs, sorted coefficients). It
+/// is a cheap filter in front of Canonicalize: isomorphic programs share
+/// it, and equal Canonicalize/CanonicalizeTwin keys imply equal invariants
+/// (doubles hash through the same -0.0-normalized bits the keys use, so a
+/// zero-objective twin keeps its original's invariant). A program whose
+/// invariant no other program shares therefore shares no key either.
+/// Unequal invariants never hide a hit; equal ones may still belong to
+/// non-isomorphic programs.
+uint64_t IsomorphismInvariant(const LinearProgram& lp);
 
 /// Maps a solution vector in canonical variable order back to the input
 /// program's variable order.

@@ -64,6 +64,16 @@ constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 // Feasibility / integrality tolerance of the search.
 constexpr double kTol = 1e-6;
+
+// True when the point `x` satisfies `row` within kTol.
+bool RowHolds(const Row& row, const std::vector<double>& x) {
+  double act = 0.0;
+  for (const Term& t : row.terms) act += t.coef * x[t.var];
+  return row.op == RowOp::kLe   ? act <= row.rhs + kTol
+         : row.op == RowOp::kGe ? act >= row.rhs - kTol
+                                : std::abs(act - row.rhs) <= kTol;
+}
+
 // Components with more variables than this bypass the solve cache: the
 // cache targets the small per-group components k-anonymization emits by
 // the thousand, while a query that couples everything into one big blob
@@ -193,22 +203,22 @@ class ComponentSearch {
 
     Strand root_strand;
     root_strand.dom = Domains::FromProgram(lp_);
-    if (propagator_.Run(&root_strand.dom, nullptr, nullptr,
+    if (propagator_.Run(&root_strand.dom, nullptr,
                         &root_strand.scratch) == PropagateResult::kFixpoint) {
-      // Gap-aware prologue: one objective-guided dive first — heuristic 1
-      // drives every objective variable to its preferred bound before
-      // touching filler variables, so when that corner is feasible the
-      // incumbent equals the root activity bound outright and both the
-      // singleton-probing sweep and the remaining dives are pure overhead
-      // (on aggregate queries the objective touches a few dozen variables
-      // of a 20k-variable component). Each stage below runs only while
-      // the gap stays open.
+      // Gap-aware prologue: the root completion first, then one
+      // objective-guided dive if it fails — both drive every objective
+      // variable to its preferred bound before touching filler
+      // variables, so when they succeed the incumbent equals the root
+      // activity bound outright and both the singleton-probing sweep and
+      // the remaining dives are pure overhead (on aggregate queries the
+      // objective touches a few dozen variables of a 20k-variable
+      // component). Each stage below runs only while the gap stays open.
       {
         LICM_TRACE_SPAN("solver", "dives");
-        // Cheapest first: if the objective-preferred corner of the
-        // propagated box satisfies every row outright (one O(nnz) sweep),
-        // its value IS the activity bound and no dive is needed at all.
-        if (!TryPreferredCorner(root_strand.dom)) {
+        // Cheapest first: one propagation plus one O(nnz) completion
+        // whose value, when it is feasible, IS the activity bound, so no
+        // dive is needed at all.
+        if (!TryRootCompletion(&root_strand)) {
           GreedyDive(&root_strand, 1);
         }
       }
@@ -352,18 +362,17 @@ class ComponentSearch {
           since_check = 0;
           if (RootGapClosed(dom)) return true;
         }
-        const std::vector<VarId> touched{v};
         const size_t mark = s->trail.Mark();
         s->trail.Record(v, dom);
         dom.upper[v] = dom.lower[v];
         const bool low_ok =
-            propagator_.Run(&dom, &touched, &s->trail, &s->scratch) ==
+            propagator_.Run(&dom, {&v, 1}, &s->trail, &s->scratch) ==
             PropagateResult::kFixpoint;
         s->trail.UnwindTo(mark, &dom);
         s->trail.Record(v, dom);
         dom.lower[v] = dom.upper[v];
         const bool high_ok =
-            propagator_.Run(&dom, &touched, &s->trail, &s->scratch) ==
+            propagator_.Run(&dom, {&v, 1}, &s->trail, &s->scratch) ==
             PropagateResult::kFixpoint;
         if (!low_ok && !high_ok) return false;
         if (!low_ok) {
@@ -373,7 +382,7 @@ class ComponentSearch {
           s->trail.UnwindTo(mark, &dom);
           s->trail.Record(v, dom);
           dom.upper[v] = dom.lower[v];
-          propagator_.Run(&dom, &touched, &s->trail, &s->scratch);
+          propagator_.Run(&dom, {&v, 1}, &s->trail, &s->scratch);
           s->trail.CommitTo(mark);  // keep the propagated low state
           changed = true;
         } else {
@@ -395,7 +404,6 @@ class ComponentSearch {
       const double c = lp_.objective_coef(v);
       if (c == 0.0 || !lp_.vars()[v].is_integer) continue;
       if (dom.upper[v] - dom.lower[v] < 0.5) continue;
-      const std::vector<VarId> touched{v};
       const size_t mark = s->trail.Mark();
       s->trail.Record(v, dom);
       if (c > 0) {
@@ -403,7 +411,7 @@ class ComponentSearch {
       } else {
         dom.upper[v] = dom.lower[v];
       }
-      if (propagator_.Run(&dom, &touched, &s->trail, &s->scratch) ==
+      if (propagator_.Run(&dom, {&v, 1}, &s->trail, &s->scratch) ==
           PropagateResult::kFixpoint) {
         s->trail.UnwindTo(mark, &dom);
         continue;  // preferred value viable; bound keeps its contribution
@@ -416,7 +424,7 @@ class ComponentSearch {
       } else {
         dom.lower[v] = dom.upper[v];
       }
-      if (propagator_.Run(&dom, &touched, &s->trail, &s->scratch) ==
+      if (propagator_.Run(&dom, {&v, 1}, &s->trail, &s->scratch) ==
           PropagateResult::kInfeasible) {
         return false;
       }
@@ -424,28 +432,68 @@ class ComponentSearch {
     return true;
   }
 
-  // Evaluates the objective-preferred corner of the current box (every
-  // variable at the bound its objective coefficient prefers) against all
-  // rows. Feasible => offers it as the incumbent — whose value equals the
-  // activity bound by construction — and returns true. One O(nnz) sweep;
-  // integral components only (fractional bounds could need rounding).
-  bool TryPreferredCorner(const Domains& dom) {
+  // Closes the root with one verified completion: fixes every unfixed
+  // objective variable at the bound it prefers (we maximize, so coef > 0
+  // prefers upper), propagates once, then assigns the still-unfixed
+  // variables in ascending id — each at its lower bound, or at its upper
+  // bound when a row whose last unassigned variable it is would stay
+  // violated — and checks the point against every row. A feasible point
+  // is offered as the incumbent; its value is the root activity bound (the
+  // objective support sits at its preferred corner), so the root closes.
+  // Where the objective-preferred corner of the whole box is feasible,
+  // propagation keeps it and the completion returns exactly that corner.
+  // Runs on the strand's trail and unwinds before returning. Integral
+  // components with finite bounds only.
+  bool TryRootCompletion(Strand* s) {
     for (const auto& v : lp_.vars()) {
       if (!v.is_integer) return false;
     }
-    std::vector<double> x(lp_.num_vars());
+    Domains& dom = s->dom;
+    const size_t base = s->trail.Mark();
+    std::vector<VarId> fixed;
+    bool ok = true;
     for (VarId v = 0; v < lp_.num_vars(); ++v) {
-      x[v] = lp_.objective_coef(v) > 0 ? dom.upper[v] : dom.lower[v];
+      const double c = lp_.objective_coef(v);
+      if (c == 0.0 || dom.upper[v] - dom.lower[v] <= 0.5) continue;
+      const double x = c > 0 ? dom.upper[v] : dom.lower[v];
+      if (!std::isfinite(x)) {
+        ok = false;
+        break;
+      }
+      s->trail.Record(v, dom);
+      dom.lower[v] = dom.upper[v] = x;
+      fixed.push_back(v);
     }
-    for (const Row& row : lp_.rows()) {
-      double act = 0.0;
-      for (const Term& t : row.terms) act += t.coef * x[t.var];
-      const bool ok = row.op == RowOp::kLe   ? act <= row.rhs + kTol
-                      : row.op == RowOp::kGe ? act >= row.rhs - kTol
-                                             : std::abs(act - row.rhs) <=
-                                                   kTol;
-      if (!ok) return false;
+    ok = ok && (fixed.empty() ||
+                propagator_.Run(&dom, fixed, &s->trail, &s->scratch) ==
+                    PropagateResult::kFixpoint);
+    std::vector<double> x(lp_.num_vars());
+    if (ok) {
+      // open[r] counts the variables of row r not assigned yet.
+      std::vector<uint32_t> open(lp_.num_rows(), 0);
+      for (VarId v = 0; v < lp_.num_vars(); ++v) {
+        x[v] = dom.lower[v];
+        ok &= std::isfinite(x[v]);
+        if (dom.upper[v] - dom.lower[v] <= 0.5) continue;
+        for (uint32_t r : propagator_.var_rows()[v]) ++open[r];
+      }
+      for (VarId v = 0; v < lp_.num_vars() && ok; ++v) {
+        if (dom.upper[v] - dom.lower[v] <= 0.5) continue;
+        bool raise = false;
+        for (uint32_t r : propagator_.var_rows()[v]) {
+          if (--open[r] == 0 && !RowHolds(lp_.rows()[r], x)) raise = true;
+        }
+        if (raise) {
+          x[v] = dom.upper[v];
+          ok = std::isfinite(x[v]);
+        }
+      }
+      for (size_t r = 0; r < lp_.num_rows() && ok; ++r) {
+        ok = RowHolds(lp_.rows()[r], x);
+      }
     }
+    s->trail.UnwindTo(base, &dom);
+    if (!ok) return false;
     const double val = lp_.EvalObjective(x);  // before the move below
     OfferIncumbent(val, std::move(x));
     return true;
@@ -505,12 +553,11 @@ class ComponentSearch {
       }
       const double c = lp_.objective_coef(pick);
       const bool up_first = c > 0;
-      const std::vector<VarId> touched{pick};
       const size_t mark = s->trail.Mark();
       s->trail.Record(pick, dom);
       if (up_first) dom.lower[pick] = dom.upper[pick];
       else dom.upper[pick] = dom.lower[pick];
-      if (propagator_.Run(&dom, &touched, &s->trail, &s->scratch) ==
+      if (propagator_.Run(&dom, {&pick, 1}, &s->trail, &s->scratch) ==
           PropagateResult::kFixpoint) {
         continue;
       }
@@ -518,7 +565,7 @@ class ComponentSearch {
       s->trail.Record(pick, dom);
       if (up_first) dom.upper[pick] = dom.lower[pick];
       else dom.lower[pick] = dom.upper[pick];
-      if (propagator_.Run(&dom, &touched, &s->trail, &s->scratch) ==
+      if (propagator_.Run(&dom, {&pick, 1}, &s->trail, &s->scratch) ==
           PropagateResult::kInfeasible) {
         break;  // dead end; abandon this dive
       }
@@ -601,7 +648,7 @@ class ComponentSearch {
     }
     if (fixed.empty()) return 0;
     stats->rc_fixed_vars += static_cast<int64_t>(fixed.size());
-    if (propagator_.Run(&dom, &fixed, &s->trail, &s->scratch) ==
+    if (propagator_.Run(&dom, fixed, &s->trail, &s->scratch) ==
         PropagateResult::kInfeasible) {
       return -1;
     }
@@ -783,11 +830,10 @@ class ComponentSearch {
       ++stats->nodes;
 
       if (d.var != kNoVar) {
-        const std::vector<VarId> touched{d.var};
         s->trail.Record(d.var, dom);
         dom.lower[d.var] = d.lo;
         dom.upper[d.var] = d.hi;
-        if (propagator_.Run(&dom, &touched, &s->trail, &s->scratch) ==
+        if (propagator_.Run(&dom, {&d.var, 1}, &s->trail, &s->scratch) ==
             PropagateResult::kInfeasible) {
           continue;
         }
@@ -1213,34 +1259,72 @@ ComponentResult EntryToResult(const ComponentCache::Entry& e,
 // the twin reuses its original's relabeling (CanonicalizeTwin), so each
 // pair is refined once.
 //
+// `batch_local_cache` says the cache was created for this call
+// (SolveResources owns it): it is empty now and dropped when the call
+// ends, so a program can only hit an isomorphic partner inside this
+// batch. Such a batch first computes the cheap IsomorphismInvariant of
+// every cacheable program and fingerprints an (original, twin) pair only
+// when either invariant occurs more than once; every other program goes
+// straight to search and counts as a miss, as a singleton class would.
+// Equal keys imply equal invariants, so this changes no group, hit, miss
+// or result, only canonical_forms. Grouping by key already deduplicates
+// the batch, so it also skips the cache's Lookup/Insert. A cache the
+// caller supplies fingerprints every cacheable program: a later batch can
+// hit it.
+//
 // With a multi-thread scheduler, component tasks go through one shared
 // pool, and each ComponentSearch may additionally donate subtrees into
 // that same pool — so a batch that is one giant component (the Query-3
 // join regime) still saturates the machine.
 std::vector<ComponentResult> SolveBatch(
     const std::vector<const LinearProgram*>& programs, size_t twin_offset,
-    const MipOptions& opt, MipStats* stats) {
+    const MipOptions& opt, bool batch_local_cache, MipStats* stats) {
   Scheduler* const scheduler = opt.scheduler;
   const size_t n = programs.size();
   std::vector<ComponentResult> results(n);
 
   std::vector<CanonicalForm> forms(n);
-  std::vector<bool> use_cache(n, false);
+  // cacheable: may share a result (counts a hit or a miss); use_cache:
+  // fingerprinted and grouped by key.
+  std::vector<uint8_t> cacheable(n, 0);
+  std::vector<uint8_t> use_cache(n, 0);
   std::vector<std::vector<size_t>> group_members;  // ordered by first member
   std::vector<int32_t> group_of_rep(n, -1);
   if (opt.cache) {
     LICM_TRACE_SPAN("solver", "canonicalize");
+    for (size_t i = 0; i < n; ++i) {
+      cacheable[i] = programs[i]->num_rows() > 0 &&
+                     programs[i]->num_vars() <= kCacheMaxComponentVars;
+      use_cache[i] = cacheable[i];
+    }
+    if (batch_local_cache) {
+      std::vector<uint64_t> invariant(n, 0);
+      std::unordered_map<uint64_t, uint32_t> seen;
+      for (size_t i = 0; i < n; ++i) {
+        if (!cacheable[i]) continue;
+        invariant[i] = IsomorphismInvariant(*programs[i]);
+        ++seen[invariant[i]];
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (cacheable[i]) use_cache[i] = seen[invariant[i]] > 1;
+      }
+      // A twin's form is derived from its original's: fingerprint a pair
+      // together or not at all.
+      for (size_t i = 0; i < twin_offset; ++i) {
+        const uint8_t pair = use_cache[i] | use_cache[twin_offset + i];
+        use_cache[i] = use_cache[twin_offset + i] = pair;
+      }
+    }
     std::unordered_map<std::string_view, size_t> group_of;
     for (size_t i = 0; i < n; ++i) {
-      if (programs[i]->num_rows() == 0 ||
-          programs[i]->num_vars() > kCacheMaxComponentVars) {
+      if (!use_cache[i]) {
+        if (cacheable[i]) ++stats->cache_misses;
         continue;
       }
       forms[i] = twin_offset > 0 && i >= twin_offset
                      ? CanonicalizeTwin(*programs[i], forms[i - twin_offset])
                      : Canonicalize(*programs[i]);
       ++stats->canonical_forms;
-      use_cache[i] = true;
       auto [it, fresh] = group_of.try_emplace(std::string_view(forms[i].key),
                                               group_members.size());
       if (fresh) group_members.emplace_back();
@@ -1248,8 +1332,8 @@ std::vector<ComponentResult> SolveBatch(
     }
   }
 
-  // Task list: every uncacheable program, plus one representative per
-  // isomorphism class.
+  // Task list: every program that was not fingerprinted, plus one
+  // representative per isomorphism class.
   std::vector<size_t> tasks;
   tasks.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -1261,10 +1345,11 @@ std::vector<ComponentResult> SolveBatch(
   }
   std::vector<uint8_t> rep_hit(group_members.size(), 0);
 
-  // Look up if cacheable, otherwise search; a proved search result of a
-  // cacheable program is memoized for later batches.
+  // Against a caller's cache, look a fingerprinted program up, otherwise
+  // search, and memoize a proved search result for later batches.
+  const bool memoize = opt.cache != nullptr && !batch_local_cache;
   auto run_task = [&](size_t i, MipStats* task_stats) {
-    if (use_cache[i]) {
+    if (use_cache[i] && memoize) {
       ComponentCache::Entry entry;
       if (opt.cache->Lookup(forms[i], &entry)) {
         telemetry::Instant("cache", "cache_hit",
@@ -1273,6 +1358,8 @@ std::vector<ComponentResult> SolveBatch(
         rep_hit[static_cast<size_t>(group_of_rep[i])] = 1;
         return;
       }
+    }
+    if (cacheable[i]) {
       telemetry::Instant("cache", "cache_miss",
                          {{"component", static_cast<double>(i)}});
     }
@@ -1282,8 +1369,9 @@ std::vector<ComponentResult> SolveBatch(
                            static_cast<int64_t>(i));
     results[i] = search.Run();
     const ComponentResult& res = results[i];
-    if (use_cache[i] && (res.status == SolveStatus::kOptimal ||
-                         res.status == SolveStatus::kInfeasible)) {
+    if (use_cache[i] && memoize &&
+        (res.status == SolveStatus::kOptimal ||
+         res.status == SolveStatus::kInfeasible)) {
       ComponentCache::Entry ins;
       ins.status = res.status;
       ins.objective = res.objective;
@@ -1549,7 +1637,8 @@ MipResult MipSolver::Solve(const LinearProgram& input, Sense sense) const {
   programs.reserve(p.comps.size());
   for (const Component& c : p.comps) programs.push_back(&c.program);
   std::vector<ComponentResult> solved =
-      SolveBatch(programs, /*twin_offset=*/0, opt, &stats);
+      SolveBatch(programs, /*twin_offset=*/0, opt, resources.owns_cache(),
+                 &stats);
   MipResult result = Assemble(p, opt, programs, solved, 0,
                               p.work->objective_constant(), minimize);
   result.stats = stats;
@@ -1594,7 +1683,8 @@ MinMaxMipResult MipSolver::SolveMinMax(const LinearProgram& input) const {
     programs[nc + i] = &negated[i];
   }
   std::vector<ComponentResult> solved =
-      SolveBatch(programs, /*twin_offset=*/nc, opt, &out.stats);
+      SolveBatch(programs, /*twin_offset=*/nc, opt, resources.owns_cache(),
+                 &out.stats);
 
   out.max = Assemble(p, opt, programs, solved, 0,
                      p.work->objective_constant(), /*negate=*/false);

@@ -43,9 +43,10 @@ struct MipOptions {
   /// Cache shared across solver calls, and the only state a solve carries
   /// into later ones: proved component results keyed by canonical form.
   /// Components of more than 512 variables are never fingerprinted and
-  /// bypass it. When null and use_cache is set,
-  /// each call gets a private cache (SolveResources), which still dedupes
-  /// isomorphic components within the call.
+  /// bypass it. When null and use_cache is set, each call gets a private
+  /// cache (SolveResources), which still dedupes isomorphic components
+  /// within the call and fingerprints only the components that can have
+  /// an isomorphic partner there.
   ComponentCache* cache = nullptr;
   /// Singleton-consistency probing at each component root.
   bool use_probing = true;
@@ -192,6 +193,14 @@ struct MinMaxMipResult {
 /// shared `scheduler` with more than one resolved thread means a private
 /// pool. `options()` points at whatever was created here, so the object
 /// must outlive every solve that uses them.
+///
+/// A private cache made by `MipSolver::Solve`/`SolveMinMax` lives for one
+/// batch of components and never answers a lookup, so the batch shares
+/// results only between isomorphic members, fingerprints only components
+/// whose isomorphism invariant it sees twice, and skips the cache's
+/// lookups (owns_cache(), mip_solver.cc SolveBatch). The MIN/MAX
+/// feasibility prober's private cache spans its whole probe sequence and
+/// reaches each probe's solve as a caller-supplied cache.
 class SolveResources {
  public:
   explicit SolveResources(const MipOptions& options);
@@ -202,6 +211,8 @@ class SolveResources {
   const MipOptions& options() const { return options_; }
   /// Resolved executor count of the solves (1 without a scheduler).
   int num_threads() const;
+  /// True when `options().cache` was created here rather than supplied.
+  bool owns_cache() const { return cache_ != nullptr; }
 
  private:
   MipOptions options_;

@@ -31,15 +31,26 @@ Propagator::Propagator(const LinearProgram& lp)
     for (const Term& t : rows[r].terms) var_rows_[t.var].push_back(r);
 }
 
-PropagateResult Propagate(const LinearProgram& lp, Domains* domains,
-                          const std::vector<VarId>* touched) {
-  return Propagator(lp).Run(domains, touched);
+PropagateResult Propagate(const LinearProgram& lp, Domains* domains) {
+  return Propagator(lp).Run(domains);
+}
+
+PropagateResult Propagator::Run(Domains* domains, BoundTrail* trail,
+                                PropagationScratch* scratch) const {
+  return Drain(domains, /*all_rows=*/true, {}, trail, scratch);
 }
 
 PropagateResult Propagator::Run(Domains* domains,
-                                const std::vector<VarId>* touched,
+                                std::span<const VarId> touched,
                                 BoundTrail* trail,
                                 PropagationScratch* scratch) const {
+  return Drain(domains, /*all_rows=*/false, touched, trail, scratch);
+}
+
+PropagateResult Propagator::Drain(Domains* domains, bool all_rows,
+                                  std::span<const VarId> touched,
+                                  BoundTrail* trail,
+                                  PropagationScratch* scratch) const {
   const LinearProgram& lp = lp_;
   const auto& rows = lp.rows();
   const auto& var_rows = var_rows_;
@@ -65,10 +76,10 @@ PropagateResult Propagator::Run(Domains* domains,
     }
   };
 
-  if (touched == nullptr) {
+  if (all_rows) {
     for (uint32_t r = 0; r < rows.size(); ++r) enqueue_row(r);
   } else {
-    for (VarId v : *touched) {
+    for (VarId v : touched) {
       for (uint32_t r : var_rows[v]) enqueue_row(r);
     }
   }

@@ -14,6 +14,7 @@
 #define LICM_SOLVER_PROPAGATION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "solver/linear_program.h"
@@ -105,15 +106,18 @@ class Propagator {
  public:
   explicit Propagator(const LinearProgram& lp);
 
-  /// Tightens `domains` until fixpoint or proven infeasibility. Integer
-  /// variables are rounded to integral bounds. `touched` (optional) limits
-  /// the initial worklist to rows mentioning those variables; pass nullptr
-  /// to start from all rows. When `trail` is given, every bound write is
-  /// recorded so the caller can unwind (including the partial writes of an
-  /// infeasible run). `scratch` reuses worklist storage across calls; it
-  /// may be shared by calls on different Domains but not concurrently.
-  PropagateResult Run(Domains* domains,
-                      const std::vector<VarId>* touched = nullptr,
+  /// Tightens `domains` until fixpoint or proven infeasibility, starting
+  /// from every row. Integer variables are rounded to integral bounds.
+  /// When `trail` is given, every bound write is recorded so the caller
+  /// can unwind (including the partial writes of an infeasible run).
+  /// `scratch` reuses worklist storage across calls; it may be shared by
+  /// calls on different Domains but not concurrently.
+  PropagateResult Run(Domains* domains, BoundTrail* trail = nullptr,
+                      PropagationScratch* scratch = nullptr) const;
+
+  /// Same, but the initial worklist holds only the rows mentioning
+  /// `touched` (the variables whose bounds the caller just changed).
+  PropagateResult Run(Domains* domains, std::span<const VarId> touched,
                       BoundTrail* trail = nullptr,
                       PropagationScratch* scratch = nullptr) const;
 
@@ -123,13 +127,17 @@ class Propagator {
   }
 
  private:
+  // The worklist loop of both Run overloads.
+  PropagateResult Drain(Domains* domains, bool all_rows,
+                        std::span<const VarId> touched, BoundTrail* trail,
+                        PropagationScratch* scratch) const;
+
   const LinearProgram& lp_;
   std::vector<std::vector<uint32_t>> var_rows_;
 };
 
-/// One-shot convenience wrapper around Propagator.
-PropagateResult Propagate(const LinearProgram& lp, Domains* domains,
-                          const std::vector<VarId>* touched = nullptr);
+/// One-shot convenience wrapper around Propagator (all rows).
+PropagateResult Propagate(const LinearProgram& lp, Domains* domains);
 
 }  // namespace licm::solver
 

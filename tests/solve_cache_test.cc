@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -509,6 +511,177 @@ TEST(SolveMinMax, MatchesSeparateSolves) {
       }
     }
   }
+}
+
+// ---- Fingerprinting only what can hit ----
+
+// Appends a copy of `block` over fresh variables of `lp`.
+void AppendBlock(const LinearProgram& block, LinearProgram* lp) {
+  const VarId base = static_cast<VarId>(lp->num_vars());
+  for (VarId v = 0; v < block.num_vars(); ++v) {
+    const auto& def = block.vars()[v];
+    lp->AddVariable(def.lower, def.upper, def.is_integer);
+    lp->SetObjectiveCoef(base + v, block.objective_coef(v));
+  }
+  for (Row row : block.rows()) {
+    for (Term& t : row.terms) t.var += base;
+    lp->AddRow(std::move(row));
+  }
+}
+
+// A group-shaped block: `width` binaries, at least one present, the first
+// two exclusive, objective weights 1, 2, 1, 2, ... scaled by `weight`.
+LinearProgram GroupBlock(int width, double weight) {
+  LinearProgram lp;
+  Row cover{{}, RowOp::kGe, 1};
+  for (int v = 0; v < width; ++v) {
+    lp.AddBinary();
+    lp.SetObjectiveCoef(static_cast<VarId>(v), weight * (1 + v % 2));
+    cover.terms.push_back({static_cast<VarId>(v), 1});
+  }
+  lp.AddRow(std::move(cover));
+  lp.AddRow(Row{{{0, 1}, {1, 1}}, RowOp::kLe, 1});
+  return lp;
+}
+
+// The batch options these tests solve under: one thread (deterministic
+// worlds), components exactly as built.
+MipOptions BatchOptions() {
+  MipOptions opt;
+  opt.use_presolve = false;
+  opt.num_threads = 1;
+  return opt;
+}
+
+void ExpectSameCounts(const MipStats& got, const MipStats& want) {
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.cache_misses, want.cache_misses);
+  EXPECT_EQ(got.nodes, want.nodes);
+  EXPECT_EQ(got.components, want.components);
+}
+
+void ExpectSameWorld(const MipResult& got, const MipResult& want) {
+  ExpectSameResult(got, want);
+  EXPECT_EQ(got.solution, want.solution);
+}
+
+TEST(FingerprintRule, UniqueComponentsAreNeverFingerprinted) {
+  // Pairwise non-isomorphic components (distinct widths): a call-local
+  // cache cannot hit, so nothing is fingerprinted, while a caller's cache
+  // fingerprints everything. Everything else is identical.
+  LinearProgram lp;
+  for (int width = 3; width < 9; ++width) {
+    AppendBlock(GroupBlock(width, 1.0), &lp);
+  }
+  const MipSolver local(BatchOptions());
+  ComponentCache cache;
+  MipOptions shared_opt = BatchOptions();
+  shared_opt.cache = &cache;
+  const MipSolver shared(shared_opt);
+
+  for (Sense sense : {Sense::kMaximize, Sense::kMinimize}) {
+    const MipResult a = local.Solve(lp, sense);
+    const MipResult b = shared.Solve(lp, sense);
+    EXPECT_EQ(a.stats.canonical_forms, 0);
+    EXPECT_EQ(b.stats.canonical_forms, 6);
+    ExpectSameCounts(a.stats, b.stats);
+    EXPECT_EQ(a.stats.cache_misses, 6);
+    ExpectSameWorld(a, b);
+  }
+  ComponentCache fresh;
+  shared_opt.cache = &fresh;
+  const solver::MinMaxMipResult a = local.SolveMinMax(lp);
+  const solver::MinMaxMipResult b = MipSolver(shared_opt).SolveMinMax(lp);
+  EXPECT_EQ(a.stats.canonical_forms, 0);
+  EXPECT_EQ(b.stats.canonical_forms, 12);
+  ExpectSameCounts(a.stats, b.stats);
+  EXPECT_EQ(a.stats.cache_hits, 0);
+  EXPECT_EQ(a.stats.cache_misses, 12);
+  ExpectSameWorld(a.max, b.max);
+  ExpectSameWorld(a.min, b.min);
+}
+
+TEST(FingerprintRule, IsomorphicCopiesShareOneSearch) {
+  // Two renamed copies of one block plus one unique block: only the
+  // copies are fingerprinted, and each class is searched once.
+  Rng rng(3);
+  LinearProgram lp;
+  AppendBlock(GroupBlock(5, 1.0), &lp);
+  AppendBlock(
+      PermuteProgram(GroupBlock(5, 1.0), RandomPermutation(5, &rng), &rng),
+      &lp);
+  AppendBlock(GroupBlock(4, 3.0), &lp);
+  const MipSolver solver(BatchOptions());
+
+  const MipResult max = solver.Solve(lp, Sense::kMaximize);
+  ASSERT_EQ(max.status, SolveStatus::kOptimal);
+  EXPECT_EQ(max.objective, 2 * 6.0 + 15.0);
+  EXPECT_EQ(max.stats.canonical_forms, 2);
+  EXPECT_EQ(max.stats.cache_hits, 1);
+  EXPECT_EQ(max.stats.cache_misses, 2);
+  EXPECT_TRUE(lp.IsFeasible(max.solution));
+
+  // Both senses: the copies and their twins are fingerprinted (two
+  // classes), the unique block and its twin are not.
+  const solver::MinMaxMipResult both = solver.SolveMinMax(lp);
+  EXPECT_EQ(both.max.objective, max.objective);
+  EXPECT_EQ(both.min.objective, 2 * 1.0 + 3.0);
+  EXPECT_EQ(both.stats.canonical_forms, 4);
+  EXPECT_EQ(both.stats.cache_hits, 2);
+  EXPECT_EQ(both.stats.cache_misses, 4);
+}
+
+TEST(FingerprintRule, ZeroObjectiveTwinStillDedupesAcrossSenses) {
+  // A feasibility-only component's min-side twin carries -0.0
+  // coefficients; its invariant must still equal its original's, or the
+  // pair would skip fingerprinting and be searched twice.
+  LinearProgram lp;
+  AppendBlock(GroupBlock(4, 0.0), &lp);
+  AppendBlock(GroupBlock(3, 1.0), &lp);
+  const solver::MinMaxMipResult both =
+      MipSolver(BatchOptions()).SolveMinMax(lp);
+  ASSERT_EQ(both.max.status, SolveStatus::kOptimal);
+  EXPECT_EQ(both.max.objective, 3.0);
+  EXPECT_EQ(both.min.objective, 1.0);
+  EXPECT_EQ(both.stats.canonical_forms, 2);
+  EXPECT_EQ(both.stats.cache_hits, 1);
+  EXPECT_EQ(both.stats.cache_misses, 3);
+}
+
+TEST(Canonical, EqualKeysImplyEqualInvariants) {
+  // Over the digest's seeded programs, their renamed copies, their
+  // min-side twins and their zero-objective variants: every key maps to
+  // one invariant, and renamed copies share it.
+  Rng rng(2012);
+  std::unordered_map<std::string, uint64_t> invariant_of;
+  int repeated_keys = 0;
+  auto record = [&](const std::string& key, const LinearProgram& lp) {
+    const uint64_t inv = solver::IsomorphismInvariant(lp);
+    auto [it, fresh] = invariant_of.emplace(key, inv);
+    EXPECT_EQ(it->second, inv);
+    repeated_keys += fresh ? 0 : 1;
+  };
+  for (int i = 0; i < 400; ++i) {
+    LinearProgram lp = DigestProgram(&rng, i);
+    LinearProgram iso =
+        PermuteProgram(lp, RandomPermutation(lp.num_vars(), &rng), &rng);
+    ASSERT_EQ(solver::IsomorphismInvariant(lp),
+              solver::IsomorphismInvariant(iso))
+        << "program " << i;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (LinearProgram* p : {&lp, &iso}) {
+        const CanonicalForm form = Canonicalize(*p);
+        record(form.key, *p);
+        const LinearProgram twin = Negated(*p);
+        record(CanonicalizeTwin(twin, form).key, twin);
+        // Second pass: the same program as a feasibility-only component.
+        for (VarId v = 0; v < p->num_vars(); ++v) p->SetObjectiveCoef(v, 0.0);
+      }
+    }
+  }
+  // The implication was exercised: renamed copies and zero-objective
+  // twins land on keys already seen.
+  EXPECT_GT(repeated_keys, 800);
 }
 
 // ---- Aggregate layer ----

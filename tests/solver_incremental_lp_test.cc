@@ -1,7 +1,9 @@
 // Unit tests for the incremental dual simplex (warm-started node
 // relaxations), when a component search engages it, reduced-cost fixing,
 // and cardinality cut separation.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,9 +47,9 @@ LinearProgram RandomBoxLp(uint64_t seed, int* out_n) {
 }
 
 // The node LP engages only where the prologue leaves a gap: a component
-// that the objective-preferred corner or the first objective dive closes
-// solves with no LP work at all, and one with a fractional relaxation
-// still gets its root LP.
+// that the root completion or the first objective dive closes solves with
+// no LP work at all, and one with a fractional relaxation still gets its
+// root LP.
 MipOptions SingleComponentOptions() {
   MipOptions opt;
   opt.use_presolve = false;       // keep the component whole
@@ -81,16 +83,98 @@ TEST(LpEngagement, PreferredCornerClosesWithoutLp) {
   EXPECT_EQ(r.best_bound, 3.0);
   EXPECT_EQ(r.stats.nodes, 1);
   ExpectNoLpWork(r);
+  // The completion of a feasible corner is that corner.
+  EXPECT_EQ(r.solution, (std::vector<double>{1, 1, 1, 0, 0, 0}));
 }
 
-TEST(LpEngagement, ObjectiveDiveClosesWithoutLp) {
-  // max x0 + x1 s.t. x2 + x3 >= 1: the corner leaves both fillers at 0
-  // and fails, and the first dive reaches the activity bound 2.
+TEST(LpEngagement, RootCompletionClosesAnOrObjective) {
+  // max y s.t. y <= x1 + x2 (an OR input) and x2 + x3 >= 1 (a cover).
+  // The preferred corner (y = 1, the rest 0) breaks the OR row; the
+  // completion raises x2, the last open variable of that row, which also
+  // covers the cover row: incumbent 1 = activity bound, closed at the root.
   LinearProgram lp;
   for (int v = 0; v < 4; ++v) lp.AddBinary();
   lp.SetObjectiveCoef(0, 1.0);
-  lp.SetObjectiveCoef(1, 1.0);
+  lp.AddRow(Row{{{0, 1}, {1, -1}, {2, -1}}, RowOp::kLe, 0});
   lp.AddRow(Row{{{2, 1}, {3, 1}}, RowOp::kGe, 1});
+  const MipResult r =
+      MipSolver(SingleComponentOptions()).Solve(lp, Sense::kMaximize);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_EQ(r.objective, 1.0);
+  EXPECT_EQ(r.best_bound, 1.0);
+  EXPECT_EQ(r.stats.nodes, 1);
+  ExpectNoLpWork(r);
+  EXPECT_EQ(r.solution, (std::vector<double>{1, 0, 1, 0}));
+}
+
+// Best objective over every 0/1 point of `lp` (maximizing), or -inf.
+double BruteForceMax(const LinearProgram& lp) {
+  const size_t n = lp.num_vars();
+  double best = -kInfinity;
+  for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+    std::vector<double> x(n);
+    for (size_t v = 0; v < n; ++v) x[v] = static_cast<double>((mask >> v) & 1);
+    if (lp.IsFeasible(x)) best = std::max(best, lp.EvalObjective(x));
+  }
+  return best;
+}
+
+// y1 + y2 >= 1, y1 + y3 >= 1 and y2 + y3 <= 1 over fillers y1 < y2 < y3
+// (ids `first`, +1, +2): nothing propagates at the root, and the
+// completion (y1 = 0, which forces y2 = 1 and y3 = 1) breaks the <= row.
+void AddCompletionTrap(VarId first, LinearProgram* lp) {
+  const VarId y1 = first, y2 = first + 1, y3 = first + 2;
+  lp->AddRow(Row{{{y1, 1}, {y2, 1}}, RowOp::kGe, 1});
+  lp->AddRow(Row{{{y1, 1}, {y3, 1}}, RowOp::kGe, 1});
+  lp->AddRow(Row{{{y2, 1}, {y3, 1}}, RowOp::kLe, 1});
+}
+
+TEST(LpEngagement, FailedCompletionFallsBackToTheDive) {
+  // max 2 x0 + x1, where x0 = 1 asks three pigeons p[i] (two holes each,
+  // ids 2 + 2i + j) into two holes that take one pigeon each, and x1 + p[0]
+  // [0] <= 1. Propagation cannot refute the pigeonhole, so fixing x0 = x1
+  // = 1 propagates; the completion then puts every pigeon in hole 1 and
+  // breaks that hole's <= row. The search proves the optimum (1, below
+  // the activity bound 3), which must equal brute force both ways.
+  LinearProgram lp;
+  for (int v = 0; v < 8; ++v) lp.AddBinary();
+  lp.SetObjectiveCoef(0, 2.0);
+  lp.SetObjectiveCoef(1, 1.0);
+  auto pigeon = [](VarId i, VarId j) { return 2 + 2 * i + j; };
+  for (VarId i = 0; i < 3; ++i) {
+    lp.AddRow(Row{{{pigeon(i, 0), 1}, {pigeon(i, 1), 1}, {0, -1}},
+                  RowOp::kGe, 0});
+  }
+  for (VarId j = 0; j < 2; ++j) {
+    lp.AddRow(Row{{{pigeon(0, j), 1}, {pigeon(1, j), 1}, {pigeon(2, j), 1}},
+                  RowOp::kLe, 1});
+  }
+  lp.AddRow(Row{{{1, 1}, {pigeon(0, 0), 1}}, RowOp::kLe, 1});
+  const MipSolver solver(SingleComponentOptions());
+  const MipResult max = solver.Solve(lp, Sense::kMaximize);
+  ASSERT_EQ(max.status, SolveStatus::kOptimal);
+  EXPECT_EQ(max.objective, 1.0);
+  EXPECT_EQ(max.objective, BruteForceMax(lp));
+  EXPECT_TRUE(lp.IsFeasible(max.solution));
+
+  LinearProgram neg = lp;
+  neg.SetObjectiveCoef(0, -2.0);
+  neg.SetObjectiveCoef(1, -1.0);
+  const MipResult min = solver.Solve(lp, Sense::kMinimize);
+  ASSERT_EQ(min.status, SolveStatus::kOptimal);
+  EXPECT_EQ(min.objective, -BruteForceMax(neg));
+  EXPECT_TRUE(lp.IsFeasible(min.solution));
+}
+
+TEST(LpEngagement, ObjectiveDiveClosesWithoutLp) {
+  // max x0 + x1 over the completion trap on x2..x4: the completion fails,
+  // and the first dive (x2 = 0 refuted, so x2 = 1) reaches the activity
+  // bound 2.
+  LinearProgram lp;
+  for (int v = 0; v < 5; ++v) lp.AddBinary();
+  lp.SetObjectiveCoef(0, 1.0);
+  lp.SetObjectiveCoef(1, 1.0);
+  AddCompletionTrap(2, &lp);
   lp.AddRow(Row{{{0, 1}, {1, 1}, {2, 1}}, RowOp::kLe, 3});
   const MipResult r =
       MipSolver(SingleComponentOptions()).Solve(lp, Sense::kMaximize);

@@ -12,8 +12,10 @@
 //     --fail-on-warn        exit nonzero on warnings too
 //
 // Exit status: 0 pass/warn, 1 fail (or warn with --fail-on-warn),
-// 2 usage or IO error. Missing baseline files are reported and skipped
-// (new benches must not fail the gate before their baseline lands).
+// 2 usage or IO error. A FILE without a baseline file fails the verdict:
+// a gate that compared nothing must not pass (a wrong working directory
+// or --baselines path would otherwise turn every check off). A new bench
+// lands together with its committed baseline.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -109,8 +111,9 @@ int main(int argc, char** argv) {
                                      ? explicit_baseline
                                      : baselines_dir + "/" + Basename(file);
     if (!FileExists(baseline)) {
-      std::printf("[skip] %s: no baseline at %s\n", file.c_str(),
+      std::printf("[fail] %s: no baseline at %s\n", file.c_str(),
                   baseline.c_str());
+      overall = Verdict::kFail;
       continue;
     }
     auto diff = DiffBenchFiles(file, baseline, opts);
