@@ -1,5 +1,5 @@
 // Ablation bench for the solver design choices DESIGN.md calls out:
-// presolve, decomposition, the node LP, probing, pruning, the solve cache
+// decomposition, the node LP, probing, pruning, the solve cache
 // — plus the features that consume the node LP (reduced-cost fixing,
 // cardinality cuts, pseudo-cost branching). Runs one paper query with
 // each feature toggled off and reports solve time, node counts, and the
@@ -112,25 +112,24 @@ int main(int argc, char** argv) {
   struct Variant {
     const char* name;
     // Pipeline features.
-    bool prune, presolve, decompose, lp, probing, cache;
+    bool prune, decompose, lp, probing, cache;
     // Consumers of the node LP.
     bool rc, cuts, pc;
   };
   constexpr bool T = true, F = false;
   const Variant variants[] = {
-      {"all-features", T, T, T, T, T, T, T, T, T},
+      {"all-features", T, T, T, T, T, T, T, T},
       // One node-LP consumer off at a time.
-      {"no-rc-fixing", T, T, T, T, T, T, F, T, T},
-      {"no-cuts", T, T, T, T, T, T, T, F, T},
-      {"no-pseudo-cost", T, T, T, T, T, T, T, T, F},
+      {"no-rc-fixing", T, T, T, T, T, F, T, T},
+      {"no-cuts", T, T, T, T, T, T, F, T},
+      {"no-pseudo-cost", T, T, T, T, T, T, T, F},
       // Node LP off, and with it every feature that consumes it.
-      {"core-off", T, T, T, F, T, T, F, F, F},
+      {"core-off", T, T, F, T, T, F, F, F},
       // Pipeline ablations.
-      {"no-prune", F, T, T, T, T, T, T, T, T},
-      {"no-presolve", T, F, T, T, T, T, T, T, T},
-      {"no-decompose", T, T, F, T, T, T, T, T, T},
-      {"no-probing", T, T, T, T, F, T, T, T, T},
-      {"no-cache", T, T, T, T, T, F, T, T, T},
+      {"no-prune", F, T, T, T, T, T, T, T},
+      {"no-decompose", T, F, T, T, T, T, T, T},
+      {"no-probing", T, T, T, F, T, T, T, T},
+      {"no-cache", T, T, T, T, F, T, T, T},
   };
 
   std::printf("# Solver/pipeline ablation on Query %d, %s k=%u, %u txns, "
@@ -151,7 +150,6 @@ int main(int argc, char** argv) {
   for (const Variant& v : variants) {
     AnswerOptions opts;
     opts.bounds.prune = v.prune;
-    opts.bounds.mip.use_presolve = v.presolve;
     opts.bounds.mip.use_decomposition = v.decompose;
     opts.bounds.mip.use_lp_bound = v.lp;
     opts.bounds.mip.use_probing = v.probing;

@@ -38,7 +38,6 @@ PhaseBreakdown PhasesSince(int64_t since_ns) {
        telemetry::SummarizeSpans(since_ns)) {
     if (p.name == "encode") out.encode_ms += p.total_ms;
     else if (p.name == "prune") out.prune_ms += p.total_ms;
-    else if (p.name == "presolve") out.presolve_ms += p.total_ms;
     else if (p.name == "decompose") out.decompose_ms += p.total_ms;
     else if (p.name == "search") out.search_ms += p.total_ms;
     else if (p.name == "canonicalize") out.cache_ms += p.total_ms;
@@ -301,7 +300,7 @@ JsonRecord& JsonRecord::AddRunMetrics(double min_value, double max_value,
             lookups > 0 ? static_cast<double>(stats.cache_hits) / lookups
                         : 0.0);
   AddInt("canonical_forms", stats.canonical_forms);
-  AddInt("presolve_calls", stats.presolve_calls);
+  AddInt("root_completion_failures", stats.root_completion_failures);
   AddInt("decompose_calls", stats.decompose_calls);
   AddInt("threads", stats.num_threads);
   AddInt("subtree_splits", stats.subtree_splits);
@@ -313,7 +312,6 @@ JsonRecord& JsonRecord::AddRunMetrics(double min_value, double max_value,
 JsonRecord& JsonRecord::AddPhaseBreakdown(const PhaseBreakdown& phases) {
   AddNumber("encode_ms", phases.encode_ms);
   AddNumber("prune_ms", phases.prune_ms);
-  AddNumber("presolve_ms", phases.presolve_ms);
   AddNumber("decompose_ms", phases.decompose_ms);
   AddNumber("search_ms", phases.search_ms);
   AddNumber("cache_ms", phases.cache_ms);

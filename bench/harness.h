@@ -60,7 +60,6 @@ const char* SchemeName(Scheme s);
 struct PhaseBreakdown {
   double encode_ms = 0;     // anonymized data -> LICM database
   double prune_ms = 0;      // constraint-graph pruning
-  double presolve_ms = 0;   // solver presolve passes
   double decompose_ms = 0;  // connected-component decomposition
   double search_ms = 0;     // branch & bound component searches
   double cache_ms = 0;      // canonical-form fingerprinting for the cache
@@ -146,8 +145,8 @@ class JsonRecord {
                             bool min_exact, bool max_exact, double query_ms,
                             double solve_ms, const solver::MipStats& stats);
 
-  /// The per-phase wall-time block: encode/prune/presolve/decompose/
-  /// search/cache milliseconds from the telemetry spans.
+  /// The per-phase wall-time block: encode/prune/decompose/search/cache
+  /// milliseconds from the telemetry spans.
   JsonRecord& AddPhaseBreakdown(const PhaseBreakdown& phases);
 
   /// Renders as {"key":value,...}.

@@ -12,7 +12,7 @@
 //
 // Usage:
 //   telemetry::StartTracing();
-//   { LICM_TRACE_SPAN("solver", "presolve"); ... }       // RAII span
+//   { LICM_TRACE_SPAN("solver", "decompose"); ... }      // RAII span
 //   telemetry::Instant("scheduler", "steal", {{"from", 2.0}});
 //   telemetry::WriteChromeTrace("trace.json");            // trace_export.h
 //

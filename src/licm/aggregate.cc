@@ -53,14 +53,13 @@ Result<AggregateBounds> ComputeBounds(const Objective& objective,
     }
     // The span shows which answers still pay a solve: `solved` is 1 only
     // when neither witness settled the remainder. Every solve runs
-    // decomposition, or stops in presolve, so its stats count the call.
+    // decomposition, so its stats count the call.
     telemetry::ScopedSpan remainder_span("licm", "remainder");
     solver::MipStats remainder_stats;
     const Feasibility remainder =
         CheckFeasible(constraints, dropped, {}, options.mip, &remainder_stats);
     remainder_span.AddArg("rows", static_cast<double>(dropped.size()));
-    const bool solved =
-        remainder_stats.presolve_calls + remainder_stats.decompose_calls > 0;
+    const bool solved = remainder_stats.decompose_calls > 0;
     remainder_span.AddArg("solved", solved ? 1.0 : 0.0);
     remainder_span.End();
     switch (remainder) {
@@ -83,7 +82,7 @@ Result<AggregateBounds> ComputeBounds(const Objective& objective,
   bip_span.AddArg("rows", static_cast<double>(lp.num_rows()));
   bip_span.End();
 
-  // One shared pass: presolve and decomposition run once, and every
+  // One shared pass: decomposition runs once, and every
   // component is solved for both senses through one batch (thread pool and
   // solve cache shared; isomorphic group components deduplicated).
   const solver::MipSolver solver(options.mip);
@@ -114,6 +113,7 @@ Result<AggregateBounds> ComputeBounds(const Objective& objective,
     side->value = side_result.has_solution ? side_result.objective
                                            : side_result.best_bound;
     if (side_result.has_solution) {
+      side->world.reserve(pruned.live.size());
       for (size_t i = 0; i < pruned.live.size(); ++i) {
         side->world.emplace(pruned.live[i],
                             static_cast<uint8_t>(

@@ -57,7 +57,7 @@ struct AggregateBounds {
   BoundSide max;
   PruneResult::Stats prune_stats;
   /// Solver statistics for the whole computation. Both sides are solved in
-  /// one pass (presolve + decomposition run exactly once; see
+  /// one pass (decomposition runs exactly once; see
   /// solver::MipSolver::SolveMinMax), so the stats are shared rather than
   /// per side.
   solver::MipStats stats;

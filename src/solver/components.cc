@@ -1,12 +1,19 @@
 #include "solver/components.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <utility>
 
 #include "common/telemetry.h"
 
 namespace licm::solver {
+
+namespace {
+// Feasibility tolerance of an empty row `0 op rhs` (propagation's, which
+// decides the same row when decomposition is off).
+constexpr double kEmptyRowTol = 1e-7;
+}  // namespace
 
 void UnionFind::Reset(size_t num_nodes) {
   parent_.clear();
@@ -63,8 +70,9 @@ std::vector<uint32_t> UnionFind::Component(uint32_t node) {
   return out;
 }
 
-std::vector<Component> Decompose(const LinearProgram& lp) {
+std::vector<Component> Decompose(const LinearProgram& lp, bool* infeasible) {
   LICM_TRACE_SPAN("solver", "decompose");
+  *infeasible = false;
   const size_t n = lp.num_vars();
   UnionFind uf(n);
   for (const Row& r : lp.rows()) {
@@ -109,7 +117,12 @@ std::vector<Component> Decompose(const LinearProgram& lp) {
   }
 
   for (const Row& r : lp.rows()) {
-    if (r.terms.empty()) continue;  // handled by presolve; skip defensively
+    if (r.terms.empty()) {
+      *infeasible |= r.op == RowOp::kLe   ? 0.0 > r.rhs + kEmptyRowTol
+                     : r.op == RowOp::kGe ? 0.0 < r.rhs - kEmptyRowTol
+                                          : std::abs(r.rhs) > kEmptyRowTol;
+      continue;
+    }
     const VarId v0 = r.terms[0].var;
     const size_t ci = static_cast<size_t>(root_to_comp[uf.Find(v0)]);
     Row nr;

@@ -67,8 +67,10 @@ struct Component {
 /// Splits `lp` into connected components. Every row of `lp` lands in
 /// exactly one component; isolated variables (no rows) are gathered into a
 /// single trailing component with an empty row set so the caller can solve
-/// them by inspection of objective signs.
-std::vector<Component> Decompose(const LinearProgram& lp);
+/// them by inspection of objective signs. A row with no terms constrains no
+/// variable: it is dropped when 0 satisfies it, and otherwise (`0 >= 1`)
+/// sets `*infeasible`, which is false on return when no such row exists.
+std::vector<Component> Decompose(const LinearProgram& lp, bool* infeasible);
 
 }  // namespace licm::solver
 

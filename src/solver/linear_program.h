@@ -2,8 +2,7 @@
 //
 // This is the interchange format between the LICM query layer (which emits
 // binary integer programs whose objective is a sum of existence variables)
-// and the solver stack (presolve -> decomposition -> simplex / branch &
-// bound). Rows are stored sparsely; variables carry bounds and an
+// and the solver stack (decomposition -> simplex / branch & bound). Rows are stored sparsely; variables carry bounds and an
 // integrality flag.
 #ifndef LICM_SOLVER_LINEAR_PROGRAM_H_
 #define LICM_SOLVER_LINEAR_PROGRAM_H_
@@ -64,7 +63,7 @@ class LinearProgram {
   /// Sets the coefficient of `var` in the objective (replaces any previous).
   void SetObjectiveCoef(VarId var, double coef);
 
-  /// Constant added to the objective value (from presolve substitutions).
+  /// Constant added to the objective value.
   void AddObjectiveConstant(double c) { objective_constant_ += c; }
 
   size_t num_vars() const { return vars_.size(); }

@@ -20,7 +20,6 @@
 #include "solver/canonical.h"
 #include "solver/components.h"
 #include "solver/cuts.h"
-#include "solver/presolve.h"
 #include "solver/propagation.h"
 #include "solver/scheduler.h"
 #include "solver/simplex.h"
@@ -125,31 +124,179 @@ class ComponentSearch {
  public:
   // `opt` comes from SolveResources: its deadline is always set.
   ComponentSearch(const LinearProgram& lp, const MipOptions& opt,
-                  MipStats* stats, int64_t trace_id)
+                  int64_t trace_id)
       : lp_(lp), opt_(opt), deadline_(*opt.deadline),
-        scheduler_(opt.scheduler),
-        stats_(stats), trace_id_(trace_id), propagator_(lp),
-        integral_(AllIntegral(lp)),
-        node_lp_(opt.use_lp_bound && lp.num_vars() <= kNodeLpMaxVars &&
-                 IncrementalLp::Suitable(lp)) {
-    if (opt.use_pseudo_cost) {
+        scheduler_(opt.scheduler), trace_id_(trace_id), propagator_(lp),
+        integral_(AllIntegral(lp)) {}
+
+  // The root step, then the rest when it leaves the component open.
+  ComponentResult Run(MipStats* stats) {
+    ComponentResult res;
+    return CloseAtRoot(stats, &res) ? res : Search(stats);
+  }
+
+  // The root step: rowless and pure-LP components are solved outright;
+  // otherwise the root is propagated and one completion is tried. Returns
+  // true when that settles the component (infeasible root, or a completion
+  // whose value meets the root activity bound), with the result in `res`.
+  // Otherwise the propagated root stays here for Search().
+  bool CloseAtRoot(MipStats* stats, ComponentResult* res) {
+    stats_ = stats;
+    StopWatch clock;
+    const bool closed = RootStep(res);
+    stats_->cpu_seconds += clock.ElapsedSeconds();
+    return closed;
+  }
+
+  // The rest, for a component CloseAtRoot left open: the gap-driven
+  // prologue, the root LP, and the depth-first search. A component the
+  // prologue or the root LP closes returns before the search pushes its
+  // root, so it counts no node: a node is a popped DFS decision.
+  ComponentResult Search(MipStats* stats) {
+    stats_ = stats;
+    ComponentResult res;
+    // CPU accounting of the single-threaded prologue (probing, dives, root
+    // LP). Charged to stats_ directly — no parallel strands exist yet.
+    StopWatch prep_clock;
+    Strand& root = root_;
+    // Gap-aware prologue: one objective-guided dive where the completion
+    // failed, then probing and the remaining dives — each stage runs only
+    // while the gap stays open. Like the completion, the dive drives every
+    // objective variable to its preferred bound before touching filler
+    // variables, so when it succeeds the incumbent usually meets the root
+    // activity bound outright.
+    if (!completed_) {
+      LICM_TRACE_SPAN("solver", "dives");
+      GreedyDive(&root, 1);
+    }
+    if (!RootGapClosed(root.dom)) {
+      LICM_TRACE_SPAN("solver", "probe_root");
+      if (opt_.use_probing && !ProbeRoot(&root)) {
+        res.status = SolveStatus::kInfeasible;
+        stats_->cpu_seconds += prep_clock.ElapsedSeconds();
+        return res;
+      }
+    }
+    // Remaining dives: seed the incumbent from other corners so search
+    // starts with a primal bound to prune against. Single-threaded —
+    // parallel strands only exist below.
+    if (!RootGapClosed(root.dom)) {
+      LICM_TRACE_SPAN("solver", "dives");
+      for (int heur : {0, 2}) {
+        GreedyDive(&root, heur);
+        if (RootGapClosed(root.dom)) break;
+      }
+    }
+
+    // Root LP: warm state, root cut separation, and strong branching —
+    // all before any parallel strand exists, and only for a component
+    // the prologue left open. A closed gap needs no LP value, and the
+    // root LP never offers an incumbent, so skipping it changes no result.
+    double root_bound = kInfinity;
+    if (!RootGapClosed(root.dom)) {
+      PrepareSearch();
+      if (node_lp_ && !RootLpSetup(&root, &root_bound)) {
+        res.status = SolveStatus::kInfeasible;
+        stats_->cpu_seconds += prep_clock.ElapsedSeconds();
+        return res;
+      }
+    }
+    stats_->cpu_seconds += prep_clock.ElapsedSeconds();
+    // The root decision would be cut on its first bound check: return
+    // without pushing it.
+    if (Cut(std::min(NodeBoundCheap(root.dom), root_bound))) return Finish();
+    {
+      std::optional<Scheduler::Group> group;
+      if (scheduler_ != nullptr && scheduler_->num_threads() > 1) {
+        group.emplace(scheduler_);
+        group_ = &*group;
+      }
+      MipStats local;
+      Decision root_dec;
+      root_dec.var = kNoVar;  // domains already propagated above
+      root_dec.inherited = root_bound;
+      root.stack.push_back(root_dec);
+      Dfs(&root, &local);
+      if (group) group->Wait();  // donated strands merge their stats
+      group_ = nullptr;
+      MergeLocalStats(local);
+    }
+    return Finish();
+  }
+
+ private:
+  bool RootStep(ComponentResult* res) {
+    // Rowless component: objective decomposes per variable.
+    if (lp_.num_rows() == 0) {
+      res->status = SolveStatus::kOptimal;
+      res->solution.resize(lp_.num_vars());
+      for (VarId v = 0; v < lp_.num_vars(); ++v) {
+        const auto& def = lp_.vars()[v];
+        double x = lp_.objective_coef(v) > 0 ? def.upper : def.lower;
+        if (def.is_integer) x = std::round(x);
+        res->solution[v] = x;
+      }
+      res->objective = res->best_bound = lp_.EvalObjective(res->solution);
+      res->has_solution = true;
+      return true;
+    }
+
+    // Pure LP component (no integer variables): one simplex call.
+    bool any_integer = false;
+    for (const auto& v : lp_.vars()) any_integer |= v.is_integer;
+    if (!any_integer) {
+      LpSolution s = SolveLpRelaxation(lp_, Sense::kMaximize);
+      ++stats_->lp_solves;
+      res->status = s.status;
+      if (s.status == SolveStatus::kOptimal) {
+        res->objective = res->best_bound = s.objective;
+        res->solution = std::move(s.values);
+        res->has_solution = true;
+      }
+      return true;
+    }
+
+    root_.dom = Domains::FromProgram(lp_);
+    if (propagator_.Run(&root_.dom, nullptr, &root_.scratch) ==
+        PropagateResult::kInfeasible) {
+      res->status = SolveStatus::kInfeasible;
+      return true;
+    }
+    {
+      LICM_TRACE_SPAN("solver", "dives");
+      // One propagation plus one O(nnz) completion whose value, when it is
+      // feasible, IS the activity bound, so no dive is needed at all.
+      completed_ = TryRootCompletion(&root_);
+    }
+    if (!completed_) ++stats_->root_completion_failures;
+    if (!RootGapClosed(root_.dom)) return false;
+    *res = Finish();
+    return true;
+  }
+
+  // Search-only state, built once CloseAtRoot has left the component open:
+  // the node-LP decision, the pseudo-cost tables and the SOS1 row index.
+  void PrepareSearch() {
+    node_lp_ = opt_.use_lp_bound && lp_.num_vars() <= kNodeLpMaxVars &&
+               IncrementalLp::Suitable(lp_);
+    if (opt_.use_pseudo_cost) {
       for (int dir = 0; dir < 2; ++dir) {
-        pc_sum_[dir].assign(lp.num_vars(), 0.0);
-        pc_cnt_[dir].assign(lp.num_vars(), 0);
+        pc_sum_[dir].assign(lp_.num_vars(), 0.0);
+        pc_cnt_[dir].assign(lp_.num_vars(), 0);
       }
     }
     // Index SOS1-style rows (sum of binaries = 1): branching on a whole
     // row (one child per candidate assignee) fixes a permutation slot at a
     // time, which propagates far better than 0/1 branching on one binary.
-    sos1_of_var_.assign(lp.num_vars(), -1);
-    for (uint32_t r = 0; r < lp.num_rows(); ++r) {
-      const Row& row = lp.rows()[r];
+    sos1_of_var_.assign(lp_.num_vars(), -1);
+    for (uint32_t r = 0; r < lp_.num_rows(); ++r) {
+      const Row& row = lp_.rows()[r];
       if (row.op != RowOp::kEq || row.rhs != 1.0 || row.terms.size() < 2) {
         continue;
       }
       bool ok = true;
       for (const Term& t : row.terms) {
-        const auto& def = lp.vars()[t.var];
+        const auto& def = lp_.vars()[t.var];
         ok &= t.coef == 1.0 && def.is_integer && def.lower >= 0.0 &&
               def.upper <= 1.0;
       }
@@ -162,124 +309,12 @@ class ComponentSearch {
     }
   }
 
-  ComponentResult Run() {
+  // The component's result from the incumbent and the search flags. All
+  // strands are done and their effects ordered before these reads.
+  // Infeasibility is only proved by an *uninterrupted* search: a stopped
+  // run that found nothing is a time limit, not a proof.
+  ComponentResult Finish() {
     ComponentResult res;
-    // CPU accounting of the single-threaded prologue (root propagation,
-    // probing, dives) and of the search-free paths. Charged to stats_
-    // directly — no parallel strands exist yet.
-    StopWatch prep_clock;
-
-    // Rowless component: objective decomposes per variable.
-    if (lp_.num_rows() == 0) {
-      res.status = SolveStatus::kOptimal;
-      res.solution.resize(lp_.num_vars());
-      for (VarId v = 0; v < lp_.num_vars(); ++v) {
-        const auto& def = lp_.vars()[v];
-        double x = lp_.objective_coef(v) > 0 ? def.upper : def.lower;
-        if (def.is_integer) x = std::round(x);
-        res.solution[v] = x;
-      }
-      res.objective = res.best_bound = lp_.EvalObjective(res.solution);
-      res.has_solution = true;
-      stats_->cpu_seconds += prep_clock.ElapsedSeconds();
-      return res;
-    }
-
-    // Pure LP component (no integer variables): one simplex call.
-    bool any_integer = false;
-    for (const auto& v : lp_.vars()) any_integer |= v.is_integer;
-    if (!any_integer) {
-      LpSolution s = SolveLpRelaxation(lp_, Sense::kMaximize);
-      ++stats_->lp_solves;
-      res.status = s.status;
-      if (s.status == SolveStatus::kOptimal) {
-        res.objective = res.best_bound = s.objective;
-        res.solution = std::move(s.values);
-        res.has_solution = true;
-      }
-      stats_->cpu_seconds += prep_clock.ElapsedSeconds();
-      return res;
-    }
-
-    Strand root_strand;
-    root_strand.dom = Domains::FromProgram(lp_);
-    if (propagator_.Run(&root_strand.dom, nullptr,
-                        &root_strand.scratch) == PropagateResult::kFixpoint) {
-      // Gap-aware prologue: the root completion first, then one
-      // objective-guided dive if it fails — both drive every objective
-      // variable to its preferred bound before touching filler
-      // variables, so when they succeed the incumbent equals the root
-      // activity bound outright and both the singleton-probing sweep and
-      // the remaining dives are pure overhead (on aggregate queries the
-      // objective touches a few dozen variables of a 20k-variable
-      // component). Each stage below runs only while the gap stays open.
-      {
-        LICM_TRACE_SPAN("solver", "dives");
-        // Cheapest first: one propagation plus one O(nnz) completion
-        // whose value, when it is feasible, IS the activity bound, so no
-        // dive is needed at all.
-        if (!TryRootCompletion(&root_strand)) {
-          GreedyDive(&root_strand, 1);
-        }
-      }
-      if (!RootGapClosed(root_strand.dom)) {
-        LICM_TRACE_SPAN("solver", "probe_root");
-        if (opt_.use_probing && !ProbeRoot(&root_strand)) {
-          res.status = SolveStatus::kInfeasible;
-          stats_->cpu_seconds += prep_clock.ElapsedSeconds();
-          return res;
-        }
-      }
-      // Remaining dives: seed the incumbent from other corners so search
-      // starts with a primal bound to prune against. Single-threaded —
-      // parallel strands only exist below.
-      if (!RootGapClosed(root_strand.dom)) {
-        LICM_TRACE_SPAN("solver", "dives");
-        for (int heur : {0, 2}) {
-          GreedyDive(&root_strand, heur);
-          if (RootGapClosed(root_strand.dom)) break;
-        }
-      }
-
-      // Root LP: warm state, root cut separation, and strong branching —
-      // all before any parallel strand exists, and only for a component
-      // the prologue left open. A closed gap cuts the root decision on
-      // its activity bound before any LP value is read, and the root LP
-      // never offers an incumbent, so skipping it changes no result.
-      double root_bound = kInfinity;
-      if (node_lp_ && !RootGapClosed(root_strand.dom) &&
-          !RootLpSetup(&root_strand, &root_bound)) {
-        res.status = SolveStatus::kInfeasible;
-        stats_->cpu_seconds += prep_clock.ElapsedSeconds();
-        return res;
-      }
-      stats_->cpu_seconds += prep_clock.ElapsedSeconds();
-      {
-        std::optional<Scheduler::Group> group;
-        if (scheduler_ != nullptr && scheduler_->num_threads() > 1) {
-          group.emplace(scheduler_);
-          group_ = &*group;
-        }
-        MipStats local;
-        Decision root_dec;
-        root_dec.var = kNoVar;  // domains already propagated above
-        root_dec.inherited = root_bound;
-        root_strand.stack.push_back(root_dec);
-        Dfs(&root_strand, &local);
-        if (group) group->Wait();  // donated strands merge their stats
-        group_ = nullptr;
-        MergeLocalStats(local);
-      }
-    } else {
-      res.status = SolveStatus::kInfeasible;
-      stats_->cpu_seconds += prep_clock.ElapsedSeconds();
-      return res;
-    }
-
-    // The group has been waited on: all strands are done and their
-    // effects ordered before these reads. Infeasibility is only proved by
-    // an *uninterrupted* search: a stopped run that found nothing is a
-    // time limit, not a proof.
     if (!stopped_.load() && infeasible_only_.load() &&
         !has_incumbent_.load()) {
       res.status = SolveStatus::kInfeasible;
@@ -287,7 +322,7 @@ class ComponentSearch {
     }
     res.has_solution = has_incumbent_.load();
     res.objective = incumbent_value_.load();
-    res.solution = incumbent_;
+    res.solution = std::move(incumbent_);
     if (stopped_.load()) {
       res.status = SolveStatus::kTimeLimit;
       res.best_bound = std::max(open_bound_, res.has_solution
@@ -301,7 +336,6 @@ class ComponentSearch {
     return res;
   }
 
- private:
   // One pending branch decision. `mark` is the trail length when the
   // decision was created: popping it unwinds to `mark` (recovering the
   // parent's exact Domains), then imposes [lo, hi] on `var` and
@@ -435,10 +469,14 @@ class ComponentSearch {
   // Closes the root with one verified completion: fixes every unfixed
   // objective variable at the bound it prefers (we maximize, so coef > 0
   // prefers upper), propagates once, then assigns the still-unfixed
-  // variables in ascending id — each at its lower bound, or at its upper
-  // bound when a row whose last unassigned variable it is would stay
-  // violated — and checks the point against every row. A feasible point
-  // is offered as the incumbent; its value is the root activity bound (the
+  // variables in ascending id, each at its lower bound unless one of its
+  // rows can no longer be satisfied by the row's other open variables and
+  // raising this one helps (a `<=` row whose activity plus the most its
+  // open variables can lower it still exceeds the rhs, and a negative
+  // coefficient; `>=` is the mirror case). Raising the last open variable
+  // of a violated row is the case where that remaining range is zero.
+  // The point is checked against every row; a feasible one is offered as
+  // the incumbent, and its value is the root activity bound (the
   // objective support sits at its preferred corner), so the root closes.
   // Where the objective-preferred corner of the whole box is feasible,
   // propagation keeps it and the completion returns exactly that corner.
@@ -469,23 +507,42 @@ class ComponentSearch {
                     PropagateResult::kFixpoint);
     std::vector<double> x(lp_.num_vars());
     if (ok) {
-      // open[r] counts the variables of row r not assigned yet.
-      std::vector<uint32_t> open(lp_.num_rows(), 0);
-      for (VarId v = 0; v < lp_.num_vars(); ++v) {
+      // Per row: the activity at the partial assignment (open variables at
+      // their lower bound), and how far the still-open variables can move
+      // it down (neg) and up (pos).
+      struct RowState {
+        double act = 0.0, neg = 0.0, pos = 0.0;
+      };
+      std::vector<RowState> rows(lp_.num_rows());
+      for (VarId v = 0; v < lp_.num_vars() && ok; ++v) {
         x[v] = dom.lower[v];
-        ok &= std::isfinite(x[v]);
-        if (dom.upper[v] - dom.lower[v] <= 0.5) continue;
-        for (uint32_t r : propagator_.var_rows()[v]) ++open[r];
+        const double range = dom.upper[v] - dom.lower[v];
+        ok = std::isfinite(x[v]) && std::isfinite(range);
+        for (const RowRef& ref : propagator_.rows_of(v)) {
+          RowState& r = rows[ref.row];
+          r.act += ref.coef * x[v];
+          if (range <= 0.5) continue;
+          (ref.coef < 0 ? r.neg : r.pos) += ref.coef * range;
+        }
       }
       for (VarId v = 0; v < lp_.num_vars() && ok; ++v) {
-        if (dom.upper[v] - dom.lower[v] <= 0.5) continue;
+        const double range = dom.upper[v] - dom.lower[v];
+        if (range <= 0.5) continue;
         bool raise = false;
-        for (uint32_t r : propagator_.var_rows()[v]) {
-          if (--open[r] == 0 && !RowHolds(lp_.rows()[r], x)) raise = true;
+        for (const RowRef& ref : propagator_.rows_of(v)) {
+          RowState& r = rows[ref.row];
+          const Row& row = lp_.rows()[ref.row];
+          const double d = ref.coef * range;
+          (d < 0 ? r.neg : r.pos) -= d;  // v is decided now
+          raise |= d < 0 && row.op != RowOp::kGe &&
+                   r.act + r.neg > row.rhs + kTol;
+          raise |= d > 0 && row.op != RowOp::kLe &&
+                   r.act + r.pos < row.rhs - kTol;
         }
-        if (raise) {
-          x[v] = dom.upper[v];
-          ok = std::isfinite(x[v]);
+        if (!raise) continue;
+        x[v] = dom.upper[v];
+        for (const RowRef& ref : propagator_.rows_of(v)) {
+          rows[ref.row].act += ref.coef * range;
         }
       }
       for (size_t r = 0; r < lp_.num_rows() && ok; ++r) {
@@ -961,8 +1018,8 @@ class ComponentSearch {
             continue;
           }
           double score = 0.0;
-          for (uint32_t r : propagator_.var_rows()[v]) {
-            const Row& row = lp_.rows()[r];
+          for (const RowRef& ref : propagator_.rows_of(v)) {
+            const Row& row = lp_.rows()[ref.row];
             int fixed = 0;
             for (const Term& t : row.terms) {
               if (dom.upper[t.var] - dom.lower[t.var] <= 0.5) ++fixed;
@@ -1163,11 +1220,16 @@ class ComponentSearch {
   const MipOptions& opt_;
   const Deadline& deadline_;
   Scheduler* const scheduler_;  // null => splitting disabled
-  MipStats* stats_;             // merged into under stats_mu_
+  MipStats* stats_ = nullptr;   // merged into under stats_mu_
   const int64_t trace_id_;      // component id in telemetry events
   Propagator propagator_;       // Run() is const and stateless: shared
   const bool integral_;
-  const bool node_lp_;  // strands keep warm IncrementalLp states
+  // The propagated root, kept from CloseAtRoot for Search(), and whether
+  // its completion found a world.
+  Strand root_;
+  bool completed_ = false;
+  // Set by PrepareSearch.
+  bool node_lp_ = false;  // strands keep warm IncrementalLp states
   std::vector<int32_t> sos1_of_var_;
 
   // Cut registry shared by all strands: each strand's LP has absorbed the
@@ -1178,7 +1240,7 @@ class ComponentSearch {
   std::unordered_set<std::string> cut_keys_;
 
   // Pseudo-cost tables per direction (0 = down, 1 = up), guarded by
-  // pc_mu_. Sized in the constructor iff use_pseudo_cost.
+  // pc_mu_. Sized by PrepareSearch iff use_pseudo_cost.
   std::mutex pc_mu_;
   std::vector<double> pc_sum_[2];
   std::vector<int32_t> pc_cnt_[2];
@@ -1199,41 +1261,24 @@ class ComponentSearch {
 };
 
 // ---------------------------------------------------------------------------
-// Shared pipeline: presolve + decomposition run once, components are solved
-// as one deduplicated batch (cache-aware), results assemble per sense.
+// Shared pipeline: decomposition runs once, components are solved as one
+// deduplicated batch (cache-aware), results assemble per sense.
 
 struct PreparedPipeline {
   bool infeasible = false;
-  PresolveResult pre;
-  /// Post-presolve program; points into `pre` or at the caller's program.
-  const LinearProgram* work = nullptr;
   std::vector<Component> comps;
 };
 
 void Prepare(const LinearProgram& lp, const MipOptions& opt, MipStats* stats,
              PreparedPipeline* p) {
-  if (opt.use_presolve) {
-    ++stats->presolve_calls;
-    p->pre = Presolve(lp);
-    if (p->pre.infeasible) {
-      p->infeasible = true;
-      return;
-    }
-    stats->presolve_fixed_vars = p->pre.stats.vars_fixed;
-    stats->presolve_removed_rows =
-        p->pre.stats.rows_removed + p->pre.stats.duplicate_rows;
-    p->work = &p->pre.reduced;
-  } else {
-    p->work = &lp;
-  }
   ++stats->decompose_calls;
   if (opt.use_decomposition) {
-    p->comps = Decompose(*p->work);
+    p->comps = Decompose(lp, &p->infeasible);
   } else {
     Component whole;
-    whole.program = *p->work;
-    whole.to_parent.resize(p->work->num_vars());
-    for (VarId v = 0; v < p->work->num_vars(); ++v) whole.to_parent[v] = v;
+    whole.program = lp;
+    whole.to_parent.resize(lp.num_vars());
+    for (VarId v = 0; v < lp.num_vars(); ++v) whole.to_parent[v] = v;
     p->comps.push_back(std::move(whole));
   }
   stats->components = p->comps.size();
@@ -1249,8 +1294,32 @@ ComponentResult EntryToResult(const ComponentCache::Entry& e,
   return res;
 }
 
+// Runs `fn(task, stats)` for every task, one scheduler task each when the
+// scheduler has more than one thread; per-task stats then merge in
+// task-index order, so counter totals are deterministic however the work
+// interleaved.
+template <typename Fn>
+void ForEachTask(const std::vector<size_t>& tasks, Scheduler* scheduler,
+                 MipStats* stats, const Fn& fn) {
+  if (scheduler == nullptr || scheduler->num_threads() == 1) {
+    for (size_t t : tasks) fn(t, stats);
+    return;
+  }
+  // A single-task batch still goes through the group so the lone
+  // component can split internally.
+  std::vector<MipStats> task_stats(tasks.size());
+  {
+    Scheduler::Group group(scheduler);
+    for (size_t idx = 0; idx < tasks.size(); ++idx) {
+      group.Submit([&, idx] { fn(tasks[idx], &task_stats[idx]); });
+    }
+    group.Wait();
+  }
+  for (const MipStats& s : task_stats) stats->MergeFrom(s);
+}
+
 // Solves every program (all maximization-oriented) in one batch. With a
-// cache, programs are canonicalized first and grouped by form: one search
+// cache, programs are canonicalized and grouped by form: one search
 // answers the whole isomorphism class, and proved results are memoized for
 // later batches. Rowless programs skip the cache — solving them by
 // inspection is cheaper than fingerprinting them — as do components above
@@ -1262,24 +1331,26 @@ ComponentResult EntryToResult(const ComponentCache::Entry& e,
 // `batch_local_cache` says the cache was created for this call
 // (SolveResources owns it): it is empty now and dropped when the call
 // ends, so a program can only hit an isomorphic partner inside this
-// batch. Such a batch first computes the cheap IsomorphismInvariant of
-// every cacheable program and fingerprints an (original, twin) pair only
-// when either invariant occurs more than once; every other program goes
-// straight to search and counts as a miss, as a singleton class would.
-// Equal keys imply equal invariants, so this changes no group, hit, miss
-// or result, only canonical_forms. Grouping by key already deduplicates
-// the batch, so it also skips the cache's Lookup/Insert. A cache the
-// caller supplies fingerprints every cacheable program: a later batch can
-// hit it.
+// batch. Such a batch first runs the root step (ComponentSearch::
+// CloseAtRoot) of every cacheable program; a program it closes is done,
+// and counts as neither a hit nor a miss. Only the programs left open are
+// grouped: their cheap IsomorphismInvariant is computed, an open program
+// is fingerprinted only when its invariant occurs more than once among
+// them, and an (original, twin) pair is fingerprinted together only when
+// both sides are open (a lone open side is fingerprinted on its own).
+// Every other open program goes straight to search and counts as a miss,
+// as a singleton class would. Grouping by key already deduplicates the
+// batch, so it also skips the cache's Lookup/Insert. A cache the caller
+// supplies fingerprints every cacheable program and looks it up first: a
+// later batch can hit it.
 //
-// With a multi-thread scheduler, component tasks go through one shared
-// pool, and each ComponentSearch may additionally donate subtrees into
-// that same pool — so a batch that is one giant component (the Query-3
-// join regime) still saturates the machine.
+// With a multi-thread scheduler, root steps and component searches go
+// through one shared pool, and each ComponentSearch may additionally
+// donate subtrees into that same pool — so a batch that is one giant
+// component (the Query-3 join regime) still saturates the machine.
 std::vector<ComponentResult> SolveBatch(
     const std::vector<const LinearProgram*>& programs, size_t twin_offset,
     const MipOptions& opt, bool batch_local_cache, MipStats* stats) {
-  Scheduler* const scheduler = opt.scheduler;
   const size_t n = programs.size();
   std::vector<ComponentResult> results(n);
 
@@ -1288,31 +1359,53 @@ std::vector<ComponentResult> SolveBatch(
   // fingerprinted and grouped by key.
   std::vector<uint8_t> cacheable(n, 0);
   std::vector<uint8_t> use_cache(n, 0);
+  // Programs whose root step ran in this call: closed by it, or left open
+  // with their root state kept for the search.
+  std::vector<uint8_t> closed(n, 0);
+  std::vector<std::unique_ptr<ComponentSearch>> open(n);
   std::vector<std::vector<size_t>> group_members;  // ordered by first member
   std::vector<int32_t> group_of_rep(n, -1);
   if (opt.cache) {
-    LICM_TRACE_SPAN("solver", "canonicalize");
+    std::vector<size_t> roots;
     for (size_t i = 0; i < n; ++i) {
       cacheable[i] = programs[i]->num_rows() > 0 &&
                      programs[i]->num_vars() <= kCacheMaxComponentVars;
       use_cache[i] = cacheable[i];
+      if (cacheable[i]) roots.push_back(i);
     }
+    if (batch_local_cache) {
+      ForEachTask(roots, opt.scheduler, stats,
+                  [&](size_t i, MipStats* task_stats) {
+                    telemetry::ScopedSpan span("solver", "search");
+                    span.AddArg("component", static_cast<double>(i));
+                    auto search = std::make_unique<ComponentSearch>(
+                        *programs[i], opt, static_cast<int64_t>(i));
+                    if (search->CloseAtRoot(task_stats, &results[i])) {
+                      closed[i] = 1;
+                    } else {
+                      open[i] = std::move(search);
+                    }
+                  });
+    }
+    LICM_TRACE_SPAN("solver", "canonicalize");
     if (batch_local_cache) {
       std::vector<uint64_t> invariant(n, 0);
       std::unordered_map<uint64_t, uint32_t> seen;
-      for (size_t i = 0; i < n; ++i) {
-        if (!cacheable[i]) continue;
+      for (size_t i : roots) {
+        cacheable[i] = use_cache[i] = !closed[i];
+        if (closed[i]) continue;
         invariant[i] = IsomorphismInvariant(*programs[i]);
         ++seen[invariant[i]];
       }
-      for (size_t i = 0; i < n; ++i) {
-        if (cacheable[i]) use_cache[i] = seen[invariant[i]] > 1;
+      for (size_t i : roots) {
+        if (!closed[i]) use_cache[i] = seen[invariant[i]] > 1;
       }
-      // A twin's form is derived from its original's: fingerprint a pair
-      // together or not at all.
+      // A twin's form is derived from its original's: where both sides
+      // are open, fingerprint the pair together or not at all.
       for (size_t i = 0; i < twin_offset; ++i) {
-        const uint8_t pair = use_cache[i] | use_cache[twin_offset + i];
-        use_cache[i] = use_cache[twin_offset + i] = pair;
+        const size_t j = twin_offset + i;
+        if (!cacheable[i] || !cacheable[j]) continue;
+        use_cache[i] = use_cache[j] = use_cache[i] | use_cache[j];
       }
     }
     std::unordered_map<std::string_view, size_t> group_of;
@@ -1321,9 +1414,10 @@ std::vector<ComponentResult> SolveBatch(
         if (cacheable[i]) ++stats->cache_misses;
         continue;
       }
-      forms[i] = twin_offset > 0 && i >= twin_offset
-                     ? CanonicalizeTwin(*programs[i], forms[i - twin_offset])
-                     : Canonicalize(*programs[i]);
+      const bool twin = twin_offset > 0 && i >= twin_offset &&
+                        use_cache[i - twin_offset];
+      forms[i] = twin ? CanonicalizeTwin(*programs[i], forms[i - twin_offset])
+                      : Canonicalize(*programs[i]);
       ++stats->canonical_forms;
       auto [it, fresh] = group_of.try_emplace(std::string_view(forms[i].key),
                                               group_members.size());
@@ -1332,16 +1426,19 @@ std::vector<ComponentResult> SolveBatch(
     }
   }
 
-  // Task list: every program that was not fingerprinted, plus one
-  // representative per isomorphism class.
+  // Task list: every program that was neither closed at the root nor
+  // fingerprinted, plus one representative per isomorphism class.
   std::vector<size_t> tasks;
   tasks.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (!use_cache[i]) tasks.push_back(i);
+    if (!use_cache[i] && !closed[i]) tasks.push_back(i);
   }
   for (size_t g = 0; g < group_members.size(); ++g) {
     group_of_rep[group_members[g].front()] = static_cast<int32_t>(g);
     tasks.push_back(group_members[g].front());
+    for (size_t mi = 1; mi < group_members[g].size(); ++mi) {
+      open[group_members[g][mi]].reset();  // answered by the representative
+    }
   }
   std::vector<uint8_t> rep_hit(group_members.size(), 0);
 
@@ -1365,9 +1462,13 @@ std::vector<ComponentResult> SolveBatch(
     }
     telemetry::ScopedSpan span("solver", "search");
     span.AddArg("component", static_cast<double>(i));
-    ComponentSearch search(*programs[i], opt, task_stats,
-                           static_cast<int64_t>(i));
-    results[i] = search.Run();
+    if (open[i] != nullptr) {
+      results[i] = open[i]->Search(task_stats);
+      open[i].reset();
+    } else {
+      ComponentSearch search(*programs[i], opt, static_cast<int64_t>(i));
+      results[i] = search.Run(task_stats);
+    }
     const ComponentResult& res = results[i];
     if (use_cache[i] && memoize &&
         (res.status == SolveStatus::kOptimal ||
@@ -1382,26 +1483,7 @@ std::vector<ComponentResult> SolveBatch(
       opt.cache->Insert(forms[i], std::move(ins));
     }
   };
-
-  const int threads = scheduler == nullptr ? 1 : scheduler->num_threads();
-  if (threads == 1) {
-    for (size_t t : tasks) run_task(t, stats);
-  } else {
-    // One scheduler task per component search; each search may donate
-    // subtrees back into the same pool. A single-task batch still goes
-    // through the group so the lone component can split internally.
-    std::vector<MipStats> task_stats(tasks.size());
-    {
-      Scheduler::Group group(scheduler);
-      for (size_t idx = 0; idx < tasks.size(); ++idx) {
-        group.Submit([&, idx] { run_task(tasks[idx], &task_stats[idx]); });
-      }
-      group.Wait();
-    }
-    // Merge in task-index order: counters are sums, so the totals are
-    // deterministic regardless of how work was interleaved.
-    for (const MipStats& s : task_stats) stats->MergeFrom(s);
-  }
+  ForEachTask(tasks, opt.scheduler, stats, run_task);
 
   // Replay each representative's result to the rest of its isomorphism
   // class, permuting the solution through canonical space. Time-limited
@@ -1440,10 +1522,10 @@ std::vector<ComponentResult> SolveBatch(
 
 // Assembles component results (for maximize-oriented solved programs) into
 // a MipResult. `offset` selects the slice of `solved` belonging to this
-// sense; `solved_work_constant` is the objective constant of the solved
-// whole program; `negate` flips objective/bound back into the caller's
+// sense; `num_vars` and `solved_work_constant` are the variable count and
+// objective constant of the solved whole program; `negate` flips objective/bound back into the caller's
 // orientation (the min side solves negated programs).
-MipResult Assemble(const PreparedPipeline& p, const MipOptions& opt,
+MipResult Assemble(const PreparedPipeline& p, size_t num_vars,
                    const std::vector<const LinearProgram*>& solved_programs,
                    const std::vector<ComponentResult>& solved, size_t offset,
                    double solved_work_constant, bool negate) {
@@ -1456,7 +1538,7 @@ MipResult Assemble(const PreparedPipeline& p, const MipOptions& opt,
   double best_bound = solved_work_constant;
   bool all_optimal = true;
   bool any_solution_missing = false;
-  std::vector<double> assembled(p.work->num_vars(), 0.0);
+  std::vector<double> assembled(num_vars, 0.0);
 
   for (size_t ci = 0; ci < p.comps.size(); ++ci) {
     const ComponentResult& cr = solved[offset + ci];
@@ -1486,8 +1568,7 @@ MipResult Assemble(const PreparedPipeline& p, const MipOptions& opt,
       all_optimal ? SolveStatus::kOptimal : SolveStatus::kTimeLimit;
   result.has_solution = !any_solution_missing;
   if (result.has_solution) {
-    result.solution = opt.use_presolve ? p.pre.Postsolve(assembled)
-                                       : std::move(assembled);
+    result.solution = std::move(assembled);
     result.objective = negate ? -objective : objective;
   }
   result.best_bound = negate ? -best_bound : best_bound;
@@ -1517,12 +1598,11 @@ void MipStats::MergeFrom(const MipStats& other) {
   lp_solves += other.lp_solves;
   components += other.components;
   presolve_fixed_vars += other.presolve_fixed_vars;
-  presolve_removed_rows += other.presolve_removed_rows;
-  presolve_calls += other.presolve_calls;
   decompose_calls += other.decompose_calls;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
   canonical_forms += other.canonical_forms;
+  root_completion_failures += other.root_completion_failures;
   subtree_splits += other.subtree_splits;
   subtree_tasks += other.subtree_tasks;
   warm_lp_solves += other.warm_lp_solves;
@@ -1564,6 +1644,8 @@ void RecordSolveMetrics(const MipStats& s) {
       reg.GetCounter("licm_solver_cache_hits_total");
   static metrics::Counter* cache_misses =
       reg.GetCounter("licm_solver_cache_misses_total");
+  static metrics::Counter* completion_failures =
+      reg.GetCounter("licm_solver_root_completion_failures_total");
   static metrics::Counter* steals =
       reg.GetCounter("licm_solver_subtree_steals_total");
   static metrics::Counter* donations =
@@ -1576,6 +1658,7 @@ void RecordSolveMetrics(const MipStats& s) {
   cuts_generated->Increment(static_cast<int64_t>(s.cuts_generated));
   cache_hits->Increment(static_cast<int64_t>(s.cache_hits));
   cache_misses->Increment(static_cast<int64_t>(s.cache_misses));
+  completion_failures->Increment(s.root_completion_failures);
   steals->Increment(static_cast<int64_t>(s.subtree_splits));
   donations->Increment(static_cast<int64_t>(s.subtree_tasks));
 }
@@ -1639,8 +1722,8 @@ MipResult MipSolver::Solve(const LinearProgram& input, Sense sense) const {
   std::vector<ComponentResult> solved =
       SolveBatch(programs, /*twin_offset=*/0, opt, resources.owns_cache(),
                  &stats);
-  MipResult result = Assemble(p, opt, programs, solved, 0,
-                              p.work->objective_constant(), minimize);
+  MipResult result = Assemble(p, lp.num_vars(), programs, solved, 0,
+                              lp.objective_constant(), minimize);
   result.stats = stats;
   result.stats.solve_seconds = clock.ElapsedSeconds();
   RecordSolveMetrics(result.stats);
@@ -1686,10 +1769,10 @@ MinMaxMipResult MipSolver::SolveMinMax(const LinearProgram& input) const {
       SolveBatch(programs, /*twin_offset=*/nc, opt, resources.owns_cache(),
                  &out.stats);
 
-  out.max = Assemble(p, opt, programs, solved, 0,
-                     p.work->objective_constant(), /*negate=*/false);
-  out.min = Assemble(p, opt, programs, solved, nc,
-                     -p.work->objective_constant(), /*negate=*/true);
+  out.max = Assemble(p, input.num_vars(), programs, solved, 0,
+                     input.objective_constant(), /*negate=*/false);
+  out.min = Assemble(p, input.num_vars(), programs, solved, nc,
+                     -input.objective_constant(), /*negate=*/true);
   out.stats.solve_seconds = clock.ElapsedSeconds();
   RecordSolveMetrics(out.stats);
   return out;

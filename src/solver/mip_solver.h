@@ -1,8 +1,10 @@
 // Exact branch & bound solver for the binary integer programs LICM emits.
 //
-// Pipeline: presolve -> connected-component decomposition -> per-component
-// depth-first branch & bound with activity bounds, bound propagation at
-// every node, and optional LP-relaxation bounds from the simplex. Optima
+// Pipeline: connected-component decomposition -> per-component root step
+// (propagation and one verified completion) -> depth-first branch & bound
+// with activity bounds, bound propagation at every node, and optional
+// LP-relaxation bounds from the simplex, for the components the root step
+// leaves open. Optima
 // are *proved*, matching the paper's use of CPLEX; a time/node limit yields
 // valid approximate bounds with a reported gap (the paper's Query-3
 // behaviour on bipartite data).
@@ -23,7 +25,6 @@ class Scheduler;
 
 struct MipOptions {
   double time_limit_seconds = 300.0;
-  bool use_presolve = true;
   bool use_decomposition = true;
   /// Node LP bound: each search strand keeps one warm bounded-variable
   /// dual-simplex state (simplex.h IncrementalLp) and re-solves a node's
@@ -103,22 +104,31 @@ struct MipOptions {
 };
 
 struct MipStats {
+  /// Popped depth-first decisions. A component closed before the search
+  /// pushes its root (by the root step, the prologue or the root LP)
+  /// counts 0.
   int64_t nodes = 0;
   int64_t lp_solves = 0;
   size_t components = 0;
+  /// Always 0: the solver has no presolve (it fixed no variable on any
+  /// measured workload and was deleted). Kept because the repository
+  /// benchmark reads and digests it.
   size_t presolve_fixed_vars = 0;
-  size_t presolve_removed_rows = 0;
-  /// Pipeline invocations. SolveMinMax runs presolve and decomposition
-  /// exactly once for both senses; callers assert on these to keep it so.
-  int64_t presolve_calls = 0;
+  /// Pipeline invocations. SolveMinMax runs decomposition exactly once for
+  /// both senses; callers assert on this to keep it so.
   int64_t decompose_calls = 0;
   /// Component-instance cache accounting: a hit is a component answered
   /// without a search (cache memo, or in-batch sharing with an isomorphic
-  /// twin solved in the same call); a miss runs a branch & bound search.
+  /// twin solved in the same call); a miss runs a search. A component a
+  /// call-local batch closes in its root step never consults the cache
+  /// and, like rowless and oversized ones, counts as neither.
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   /// Canonical fingerprints computed (components routed through the cache).
   int64_t canonical_forms = 0;
+  /// Root completions that found no feasible world (the component then
+  /// falls back to an objective-guided dive).
+  int64_t root_completion_failures = 0;
   /// Intra-component parallelism: split events (a search donating open
   /// subtrees to the pool) and subtree tasks donated. Zero on sequential
   /// runs. Node counts of parallel runs are *not* run-order-independent
@@ -176,8 +186,7 @@ struct MipResult {
   }
 };
 
-/// Both senses of one program, solved off a single presolve +
-/// decomposition pass. `stats` covers the whole pass; the per-side stats
+/// Both senses of one program, solved off a single decomposition pass. `stats` covers the whole pass; the per-side stats
 /// inside min/max are left zero because searches are shared across senses
 /// (a feasibility-only component has the same canonical form in both).
 struct MinMaxMipResult {
@@ -195,10 +204,10 @@ struct MinMaxMipResult {
 /// must outlive every solve that uses them.
 ///
 /// A private cache made by `MipSolver::Solve`/`SolveMinMax` lives for one
-/// batch of components and never answers a lookup, so the batch shares
-/// results only between isomorphic members, fingerprints only components
-/// whose isomorphism invariant it sees twice, and skips the cache's
-/// lookups (owns_cache(), mip_solver.cc SolveBatch). The MIN/MAX
+/// batch of components and never answers a lookup, so the batch first
+/// closes what it can at the root, shares results only between isomorphic
+/// members of what stays open, fingerprints only open components whose
+/// isomorphism invariant it sees twice, and skips the cache's lookups (owns_cache(), mip_solver.cc SolveBatch). The MIN/MAX
 /// feasibility prober's private cache spans its whole probe sequence and
 /// reaches each probe's solve as a caller-supplied cache.
 class SolveResources {
@@ -228,8 +237,7 @@ class MipSolver {
   /// Solves `lp` to proven optimality (or the configured limits).
   MipResult Solve(const LinearProgram& lp, Sense sense) const;
 
-  /// Solves `lp` for both senses in one pass: presolve and decomposition
-  /// run once, and every component (plus its negated-objective twin for
+  /// Solves `lp` for both senses in one pass: decomposition runs once, and every component (plus its negated-objective twin for
   /// the min side) goes through one shared batch of searches — one thread
   /// pool, one solve cache, isomorphic components deduplicated across
   /// senses.

@@ -99,9 +99,16 @@ struct PropagationScratch {
 
 enum class PropagateResult { kFixpoint, kInfeasible };
 
+/// One (row, coefficient) occurrence of a variable.
+struct RowRef {
+  uint32_t row;
+  double coef;
+};
+
 /// Reusable propagation engine: caches the variable -> rows adjacency of
 /// one program so branch & bound can propagate millions of nodes without
-/// rebuilding it. The program must outlive the propagator.
+/// rebuilding it. The adjacency is one CSR buffer (two allocations per
+/// program, whatever its size). The program must outlive the propagator.
 class Propagator {
  public:
   explicit Propagator(const LinearProgram& lp);
@@ -121,9 +128,9 @@ class Propagator {
                       BoundTrail* trail = nullptr,
                       PropagationScratch* scratch = nullptr) const;
 
-  /// Rows mentioning each variable (exposed for branching heuristics).
-  const std::vector<std::vector<uint32_t>>& var_rows() const {
-    return var_rows_;
+  /// The rows mentioning `v`, with v's coefficient in each.
+  std::span<const RowRef> rows_of(VarId v) const {
+    return {refs_.data() + start_[v], refs_.data() + start_[v + 1]};
   }
 
  private:
@@ -133,7 +140,8 @@ class Propagator {
                         PropagationScratch* scratch) const;
 
   const LinearProgram& lp_;
-  std::vector<std::vector<uint32_t>> var_rows_;
+  std::vector<uint32_t> start_;  // rows_of(v) = refs_[start_[v], start_[v+1])
+  std::vector<RowRef> refs_;
 };
 
 /// One-shot convenience wrapper around Propagator (all rows).

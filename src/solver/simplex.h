@@ -14,7 +14,7 @@
 //    re-solve, and its reduced costs drive reduced-cost variable fixing
 //    and pseudo-cost branching (mip_solver.cc). Requires every variable
 //    to have finite bounds (LICM variables are binary, so this always
-//    holds after presolve).
+//    holds).
 //
 // Both operate on dense tableaus, appropriate because the MIP layer only
 // invokes them on connected components below a size cap.

@@ -158,12 +158,6 @@ InvariantReport CheckPrune(const CaseContext& ctx) {
   return CompareWithBaseline("prune", ctx, opt, "pruning off");
 }
 
-InvariantReport CheckPresolve(const CaseContext& ctx) {
-  AnswerOptions opt = BaselineOptions();
-  opt.bounds.mip.use_presolve = false;
-  return CompareWithBaseline("presolve", ctx, opt, "presolve off");
-}
-
 InvariantReport CheckCache(const CaseContext& ctx) {
   AnswerOptions opt = BaselineOptions();
   opt.bounds.mip.use_cache = false;
@@ -923,7 +917,6 @@ const std::vector<Invariant>& AllInvariants() {
       {"order", "MIN <= MAX and proved bounds envelope values and oracle",
        CheckOrder},
       {"prune", "bit-identical bounds with pruning off", CheckPrune},
-      {"presolve", "bit-identical bounds with presolve off", CheckPresolve},
       {"cache", "bit-identical bounds with the solve cache off", CheckCache},
       {"decompose", "bit-identical bounds with decomposition off",
        CheckDecompose},

@@ -2,8 +2,8 @@
 //
 // Every invariant is a property a correct pipeline must satisfy on *every*
 // instance: agreement with the possible-world oracle, bit-identical bounds
-// across feature toggles (pruning, presolve, cache, decomposition, thread
-// count), SolveMinMax vs two single-sense solves, LP-format round-trips,
+// across feature toggles (pruning, cache, decomposition, thread count),
+// SolveMinMax vs two single-sense solves, LP-format round-trips,
 // Monte-Carlo containment, and valid timeout semantics under deadlines.
 // Invariants report failures as data (not Status): a Status error from
 // CheckCase means the case itself is structurally invalid (e.g. a reducer

@@ -579,13 +579,12 @@ std::vector<uint32_t> AllRows(const ConstraintSet& cs) {
 solver::MipStats SentinelStats() {
   solver::MipStats s;
   s.nodes = -1;
-  s.presolve_calls = -1;
   s.decompose_calls = -1;
   return s;
 }
 
 bool IsSentinel(const solver::MipStats& s) {
-  return s.nodes == -1 && s.presolve_calls == -1 && s.decompose_calls == -1;
+  return s.nodes == -1 && s.decompose_calls == -1;
 }
 
 // A cardinality block plus lineage rows from every primitive of

@@ -417,15 +417,15 @@ TEST(ComponentCacheTest, EpochCountsCrossVersionHits) {
 TEST(MipStatsTest, MergeFromSumsCountersAndSplitsWallFromCpu) {
   MipStats a, b;
   a.nodes = 1; a.lp_solves = 2; a.components = 3;
-  a.presolve_fixed_vars = 4; a.presolve_removed_rows = 5;
-  a.presolve_calls = 6; a.decompose_calls = 7;
+  a.presolve_fixed_vars = 4; a.root_completion_failures = 5;
+  a.decompose_calls = 7;
   a.cache_hits = 8; a.cache_misses = 9; a.canonical_forms = 10;
   a.num_threads = 2;
   a.solve_seconds = 0.5;
   a.cpu_seconds = 0.25;
   b.nodes = 10; b.lp_solves = 20; b.components = 30;
-  b.presolve_fixed_vars = 40; b.presolve_removed_rows = 50;
-  b.presolve_calls = 60; b.decompose_calls = 70;
+  b.presolve_fixed_vars = 40; b.root_completion_failures = 50;
+  b.decompose_calls = 70;
   b.cache_hits = 80; b.cache_misses = 90; b.canonical_forms = 100;
   b.num_threads = 4;
   b.solve_seconds = 1.5;
@@ -435,8 +435,7 @@ TEST(MipStatsTest, MergeFromSumsCountersAndSplitsWallFromCpu) {
   EXPECT_EQ(a.lp_solves, 22);
   EXPECT_EQ(a.components, 33u);
   EXPECT_EQ(a.presolve_fixed_vars, 44u);
-  EXPECT_EQ(a.presolve_removed_rows, 55u);
-  EXPECT_EQ(a.presolve_calls, 66);
+  EXPECT_EQ(a.root_completion_failures, 55);
   EXPECT_EQ(a.decompose_calls, 77);
   EXPECT_EQ(a.cache_hits, 88);
   EXPECT_EQ(a.cache_misses, 99);
@@ -503,12 +502,7 @@ TEST(SolveMinMax, MatchesSeparateSolves) {
         EXPECT_DOUBLE_EQ(lp.EvalObjective(both.min.solution),
                          both.min.objective);
       }
-      EXPECT_EQ(both.stats.presolve_calls, 1);
-      // Decomposition is skipped when presolve already proves infeasible.
-      EXPECT_LE(both.stats.decompose_calls, 1);
-      if (both.max.status != SolveStatus::kInfeasible) {
-        EXPECT_EQ(both.stats.decompose_calls, 1);
-      }
+      EXPECT_EQ(both.stats.decompose_calls, 1);
     }
   }
 }
@@ -545,10 +539,9 @@ LinearProgram GroupBlock(int width, double weight) {
 }
 
 // The batch options these tests solve under: one thread (deterministic
-// worlds), components exactly as built.
+// worlds).
 MipOptions BatchOptions() {
   MipOptions opt;
-  opt.use_presolve = false;
   opt.num_threads = 1;
   return opt;
 }
@@ -631,21 +624,83 @@ TEST(FingerprintRule, IsomorphicCopiesShareOneSearch) {
   EXPECT_EQ(both.stats.cache_misses, 4);
 }
 
+// Three fillers y1 + y2 >= 1, y1 + y3 >= 1, y2 + y3 <= 1 and no objective:
+// nothing propagates, and the root completion (y1 = 0, which forces y2 =
+// y3 = 1) breaks the <= row, so the root step leaves it open.
+LinearProgram CompletionTrap() {
+  LinearProgram lp;
+  for (int v = 0; v < 3; ++v) lp.AddBinary();
+  lp.AddRow(Row{{{0, 1}, {1, 1}}, RowOp::kGe, 1});
+  lp.AddRow(Row{{{0, 1}, {2, 1}}, RowOp::kGe, 1});
+  lp.AddRow(Row{{{1, 1}, {2, 1}}, RowOp::kLe, 1});
+  return lp;
+}
+
 TEST(FingerprintRule, ZeroObjectiveTwinStillDedupesAcrossSenses) {
   // A feasibility-only component's min-side twin carries -0.0
   // coefficients; its invariant must still equal its original's, or the
   // pair would skip fingerprinting and be searched twice.
   LinearProgram lp;
-  AppendBlock(GroupBlock(4, 0.0), &lp);
+  AppendBlock(CompletionTrap(), &lp);
   AppendBlock(GroupBlock(3, 1.0), &lp);
   const solver::MinMaxMipResult both =
       MipSolver(BatchOptions()).SolveMinMax(lp);
   ASSERT_EQ(both.max.status, SolveStatus::kOptimal);
   EXPECT_EQ(both.max.objective, 3.0);
   EXPECT_EQ(both.min.objective, 1.0);
+  EXPECT_EQ(both.stats.root_completion_failures, 4);
   EXPECT_EQ(both.stats.canonical_forms, 2);
   EXPECT_EQ(both.stats.cache_hits, 1);
   EXPECT_EQ(both.stats.cache_misses, 3);
+}
+
+// max y s.t. 2y <= x1 + x2 + x3: the root completion closes both senses.
+LinearProgram ThresholdBlock() {
+  LinearProgram lp;
+  for (int v = 0; v < 4; ++v) lp.AddBinary();
+  lp.SetObjectiveCoef(3, 1.0);
+  lp.AddRow(Row{{{0, -1}, {1, -1}, {2, -1}, {3, 2}}, RowOp::kLe, 0});
+  return lp;
+}
+
+TEST(FingerprintRule, RootClosedCopiesAreNeverFingerprinted) {
+  // Renamed copies of a block the root step closes: a call-local batch
+  // settles each at its root, so it fingerprints nothing and counts no
+  // hit, miss or node. A caller's cache still looks every copy up first.
+  Rng rng(5);
+  LinearProgram lp;
+  for (int copy = 0; copy < 6; ++copy) {
+    AppendBlock(
+        PermuteProgram(ThresholdBlock(), RandomPermutation(4, &rng), &rng),
+        &lp);
+  }
+  const solver::MinMaxMipResult local =
+      MipSolver(BatchOptions()).SolveMinMax(lp);
+  ASSERT_EQ(local.max.status, SolveStatus::kOptimal);
+  EXPECT_EQ(local.max.objective, 6.0);
+  EXPECT_EQ(local.min.objective, 0.0);
+  EXPECT_EQ(local.stats.canonical_forms, 0);
+  EXPECT_EQ(local.stats.cache_hits, 0);
+  EXPECT_EQ(local.stats.cache_misses, 0);
+  EXPECT_EQ(local.stats.nodes, 0);
+  EXPECT_EQ(local.stats.root_completion_failures, 0);
+  EXPECT_TRUE(lp.IsFeasible(local.max.solution));
+
+  MipOptions off = BatchOptions();
+  off.use_cache = false;
+  const solver::MinMaxMipResult uncached = MipSolver(off).SolveMinMax(lp);
+  EXPECT_EQ(uncached.stats.nodes, 0);
+  ExpectSameWorld(uncached.max, local.max);
+  ExpectSameWorld(uncached.min, local.min);
+
+  ComponentCache cache;
+  MipOptions shared = BatchOptions();
+  shared.cache = &cache;
+  const solver::MinMaxMipResult first = MipSolver(shared).SolveMinMax(lp);
+  EXPECT_EQ(first.stats.canonical_forms, 12);
+  EXPECT_EQ(first.stats.cache_hits + first.stats.cache_misses, 12);
+  EXPECT_EQ(first.max.objective, local.max.objective);
+  EXPECT_EQ(first.min.objective, local.min.objective);
 }
 
 TEST(Canonical, EqualKeysImplyEqualInvariants) {
@@ -712,9 +767,8 @@ TEST(AggregateCache, IsomorphicGroupsHitTheCache) {
   ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
   EXPECT_DOUBLE_EQ(bounds->min.value, 1.0 * kGroups);
   EXPECT_DOUBLE_EQ(bounds->max.value, 3.0 * kGroups);
-  // One presolve + one decomposition for BOTH senses, and all but one
-  // component per sense answered by the cache.
-  EXPECT_EQ(bounds->stats.presolve_calls, 1);
+  // One decomposition for BOTH senses, and all but one component per
+  // sense answered by the cache.
   EXPECT_EQ(bounds->stats.decompose_calls, 1);
   EXPECT_GE(bounds->stats.cache_hits, 2 * (kGroups - 1));
   EXPECT_LE(bounds->stats.cache_misses, 2);

@@ -48,12 +48,11 @@ LinearProgram RandomBoxLp(uint64_t seed, int* out_n) {
 
 // The node LP engages only where the prologue leaves a gap: a component
 // that the root completion or the first objective dive closes solves with
-// no LP work at all, and one with a fractional relaxation still gets its
-// root LP.
+// no LP work at all, and no node (the search never pushes its root), and
+// one with a fractional relaxation still gets its root LP.
 MipOptions SingleComponentOptions() {
   MipOptions opt;
-  opt.use_presolve = false;       // keep the component whole
-  opt.use_decomposition = false;  // and searched as one
+  opt.use_decomposition = false;  // keep the component whole
   opt.use_cache = false;
   opt.num_threads = 1;
   return opt;
@@ -81,7 +80,8 @@ TEST(LpEngagement, PreferredCornerClosesWithoutLp) {
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_EQ(r.objective, 3.0);
   EXPECT_EQ(r.best_bound, 3.0);
-  EXPECT_EQ(r.stats.nodes, 1);
+  EXPECT_EQ(r.stats.nodes, 0);
+  EXPECT_EQ(r.stats.root_completion_failures, 0);
   ExpectNoLpWork(r);
   // The completion of a feasible corner is that corner.
   EXPECT_EQ(r.solution, (std::vector<double>{1, 1, 1, 0, 0, 0}));
@@ -102,9 +102,30 @@ TEST(LpEngagement, RootCompletionClosesAnOrObjective) {
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_EQ(r.objective, 1.0);
   EXPECT_EQ(r.best_bound, 1.0);
-  EXPECT_EQ(r.stats.nodes, 1);
+  EXPECT_EQ(r.stats.nodes, 0);
+  EXPECT_EQ(r.stats.root_completion_failures, 0);
   ExpectNoLpWork(r);
   EXPECT_EQ(r.solution, (std::vector<double>{1, 0, 1, 0}));
+}
+
+TEST(LpEngagement, ThresholdRowClosesAtTheRoot) {
+  // max y s.t. 2y <= x1 + x2 + x3 (a COUNT >= 2 threshold). With y = 1
+  // the row needs two of the three inputs: x1 is left at 0 while x2 and
+  // x3 can still cover the deficit, then x2 and x3 are raised because
+  // the rest of the row no longer can. Raising only the last open input
+  // would leave the row short.
+  LinearProgram lp;
+  for (int v = 0; v < 4; ++v) lp.AddBinary();
+  lp.SetObjectiveCoef(3, 1.0);
+  lp.AddRow(Row{{{0, -1}, {1, -1}, {2, -1}, {3, 2}}, RowOp::kLe, 0});
+  const MipResult r =
+      MipSolver(SingleComponentOptions()).Solve(lp, Sense::kMaximize);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_EQ(r.objective, 1.0);
+  EXPECT_EQ(r.stats.nodes, 0);
+  EXPECT_EQ(r.stats.root_completion_failures, 0);
+  ExpectNoLpWork(r);
+  EXPECT_EQ(r.solution, (std::vector<double>{0, 1, 1, 1}));
 }
 
 // Best objective over every 0/1 point of `lp` (maximizing), or -inf.
@@ -181,7 +202,8 @@ TEST(LpEngagement, ObjectiveDiveClosesWithoutLp) {
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_EQ(r.objective, 2.0);
   EXPECT_EQ(r.best_bound, 2.0);
-  EXPECT_EQ(r.stats.nodes, 1);
+  EXPECT_EQ(r.stats.nodes, 0);
+  EXPECT_EQ(r.stats.root_completion_failures, 1);
   ExpectNoLpWork(r);
 }
 

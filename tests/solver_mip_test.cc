@@ -1,5 +1,5 @@
-// Unit + property tests for the MIP branch & bound solver, presolve,
-// propagation, decomposition, and the LP-format writer.
+// Unit + property tests for the MIP branch & bound solver, root
+// completion, propagation, decomposition, and the LP-format writer.
 #include "solver/mip_solver.h"
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "solver/components.h"
 #include "solver/lp_format.h"
-#include "solver/presolve.h"
 #include "solver/propagation.h"
 
 namespace licm::solver {
@@ -62,90 +61,137 @@ TEST(Propagation, RoundsIntegerBounds) {
   EXPECT_DOUBLE_EQ(d.upper[x], 2.0);
 }
 
-// ---- Presolve ----
-
-TEST(Presolve, FixesAndSubstitutes) {
+// A random binary program that the 0/1 point `planted` satisfies: rows
+// over a few random variables with small integer coefficients, random
+// senses, and right-hand sides at or near the planted activity.
+LinearProgram PlantedBinaryRows(Rng* rng, const std::vector<double>& planted,
+                                int m) {
   LinearProgram lp;
-  VarId a = lp.AddBinary();
-  VarId b = lp.AddBinary();
-  VarId c = lp.AddBinary();
-  lp.SetObjectiveCoef(a, 1);
-  lp.SetObjectiveCoef(b, 1);
-  lp.SetObjectiveCoef(c, 1);
-  lp.AddRow(Row{{{a, 1}}, RowOp::kEq, 1});          // fixes a = 1
-  lp.AddRow(Row{{{a, 1}, {b, 1}}, RowOp::kLe, 1});  // then fixes b = 0
-  PresolveResult pre = Presolve(lp);
-  ASSERT_FALSE(pre.infeasible);
-  EXPECT_EQ(pre.stats.vars_fixed, 2u);
-  EXPECT_EQ(pre.reduced.num_vars(), 1u);
-  EXPECT_DOUBLE_EQ(pre.reduced.objective_constant(), 1.0);
-  std::vector<double> x = pre.Postsolve({1.0});
-  EXPECT_DOUBLE_EQ(x[a], 1.0);
-  EXPECT_DOUBLE_EQ(x[b], 0.0);
-  EXPECT_DOUBLE_EQ(x[c], 1.0);
+  for (size_t v = 0; v < planted.size(); ++v) lp.AddBinary();
+  for (int r = 0; r < m; ++r) {
+    Row row;
+    double act = 0.0;
+    const int len = 2 + static_cast<int>(rng->Uniform(4));
+    for (int i = 0; i < len; ++i) {
+      const int64_t c = rng->UniformInt(-3, 3);
+      const VarId v = static_cast<VarId>(rng->Uniform(planted.size()));
+      if (c == 0) continue;
+      row.terms.push_back(Term{v, static_cast<double>(c)});
+      act += static_cast<double>(c) * planted[v];
+    }
+    row.op = static_cast<RowOp>(rng->Uniform(3));
+    const double slack = static_cast<double>(rng->Uniform(2));
+    row.rhs = row.op == RowOp::kLe   ? act + slack
+              : row.op == RowOp::kGe ? act - slack
+                                     : act;
+    lp.AddRow(std::move(row));
+  }
+  return lp;
 }
 
-TEST(Presolve, RemovesDuplicateAndRedundantRows) {
-  LinearProgram lp;
-  VarId a = lp.AddBinary();
-  VarId b = lp.AddBinary();
-  lp.AddRow(Row{{{a, 1}, {b, 1}}, RowOp::kLe, 1});
-  lp.AddRow(Row{{{a, 1}, {b, 1}}, RowOp::kLe, 1});  // duplicate
-  lp.AddRow(Row{{{a, 1}, {b, 1}}, RowOp::kLe, 5});  // redundant over box
-  PresolveResult pre = Presolve(lp);
-  ASSERT_FALSE(pre.infeasible);
-  EXPECT_EQ(pre.reduced.num_rows(), 1u);
-  EXPECT_EQ(pre.stats.duplicate_rows, 1u);
-  EXPECT_GE(pre.stats.rows_removed, 1u);
+TEST(Propagation, FixpointIsIndependentOfRowOrder) {
+  // From a propagated root, fix a few variables, then propagate from every
+  // row and from the rows of the fixed variables in shuffled orders: all
+  // runs must agree on feasibility and, when feasible, on every bound.
+  Rng rng(26);
+  int compared = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    std::vector<double> planted(6 + rng.Uniform(12));
+    for (double& x : planted) x = static_cast<double>(rng.Uniform(2));
+    const LinearProgram lp = PlantedBinaryRows(&rng, planted, planted.size());
+    const Propagator prop(lp);
+    Domains root = Domains::FromProgram(lp);
+    if (prop.Run(&root) == PropagateResult::kInfeasible) continue;
+    Domains fixed = root;
+    std::vector<VarId> touched;
+    for (VarId v = 0; v < lp.num_vars(); ++v) {
+      if (fixed.IsFixed(v) || rng.Uniform(3) != 0) continue;
+      // Mostly the planted value, so that many runs stay feasible.
+      fixed.lower[v] = fixed.upper[v] =
+          rng.Uniform(4) == 0 ? 1.0 - planted[v] : planted[v];
+      touched.push_back(v);
+    }
+    Domains all = fixed;
+    const PropagateResult want = prop.Run(&all);
+    for (int shuffle = 0; shuffle < 3; ++shuffle) {
+      for (size_t i = touched.size(); i > 1; --i) {
+        std::swap(touched[i - 1], touched[rng.Uniform(i)]);
+      }
+      Domains part = fixed;
+      PropagationScratch scratch;
+      ASSERT_EQ(prop.Run(&part, touched, nullptr, &scratch), want)
+          << "iter " << iter;
+      if (want == PropagateResult::kInfeasible) continue;
+      EXPECT_EQ(part.lower, all.lower) << "iter " << iter;
+      EXPECT_EQ(part.upper, all.upper) << "iter " << iter;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 300);
 }
 
-TEST(Presolve, TightensSameLhsInequalities) {
+TEST(Propagation, LongRowFixesEveryTermInOneVisit) {
+  // sum(x) <= 0 over 64 binaries fixes all 64 in one run, each bound
+  // written (and recorded) exactly once.
   LinearProgram lp;
-  VarId a = lp.AddBinary();
-  VarId b = lp.AddBinary();
-  VarId c = lp.AddBinary();
-  lp.SetObjectiveCoef(a, 1);
-  lp.SetObjectiveCoef(b, 1);
-  lp.SetObjectiveCoef(c, 1);
-  // Same LHS twice with different rhs: only the binding rhs survives.
-  lp.AddRow(Row{{{a, 1}, {b, 1}, {c, 1}}, RowOp::kLe, 2});
-  lp.AddRow(Row{{{a, 1}, {b, 1}, {c, 1}}, RowOp::kLe, 1});
-  PresolveResult pre = Presolve(lp);
-  ASSERT_FALSE(pre.infeasible);
-  EXPECT_EQ(pre.reduced.num_rows(), 1u);
-  EXPECT_EQ(pre.stats.rows_tightened, 1u);
-  EXPECT_DOUBLE_EQ(pre.reduced.rows()[0].rhs, 1.0);
-
-  // The other direction: >= keeps the larger rhs. (Three variables so
-  // neither row lets bound propagation fix anything first.)
-  LinearProgram ge;
-  VarId x = ge.AddBinary();
-  VarId y = ge.AddBinary();
-  VarId z = ge.AddBinary();
-  ge.AddRow(Row{{{x, 1}, {y, 1}, {z, 1}}, RowOp::kGe, 1});
-  ge.AddRow(Row{{{x, 1}, {y, 1}, {z, 1}}, RowOp::kGe, 2});
-  PresolveResult pge = Presolve(ge);
-  ASSERT_FALSE(pge.infeasible);
-  ASSERT_EQ(pge.reduced.num_rows(), 1u);
-  EXPECT_DOUBLE_EQ(pge.reduced.rows()[0].rhs, 2.0);
+  Row row{{}, RowOp::kLe, 0};
+  for (int v = 0; v < 64; ++v) {
+    row.terms.push_back(Term{lp.AddBinary(), 1});
+  }
+  lp.AddRow(std::move(row));
+  Domains d = Domains::FromProgram(lp);
+  BoundTrail trail;
+  ASSERT_EQ(Propagator(lp).Run(&d, &trail), PropagateResult::kFixpoint);
+  EXPECT_EQ(trail.size(), 64u);
+  for (VarId v = 0; v < 64; ++v) EXPECT_EQ(d.upper[v], 0.0);
 }
 
-TEST(Presolve, ConflictingEqualitiesAreInfeasible) {
+// ---- Infeasibility without presolve ----
+
+TEST(Mip, ConflictingEqualitiesAreInfeasible) {
   LinearProgram lp;
   VarId a = lp.AddBinary();
   VarId b = lp.AddBinary();
   VarId c = lp.AddBinary();
   lp.AddRow(Row{{{a, 1}, {b, 1}, {c, -1}}, RowOp::kEq, 1});
   lp.AddRow(Row{{{a, 1}, {b, 1}, {c, -1}}, RowOp::kEq, 0});
-  EXPECT_TRUE(Presolve(lp).infeasible);
+  for (Sense sense : {Sense::kMaximize, Sense::kMinimize}) {
+    EXPECT_EQ(MipSolver().Solve(lp, sense).status, SolveStatus::kInfeasible);
+  }
 }
 
-TEST(Presolve, DetectsInfeasibility) {
+TEST(Mip, DetectsInfeasibility) {
   LinearProgram lp;
   VarId a = lp.AddBinary();
   lp.AddRow(Row{{{a, 1}}, RowOp::kGe, 1});
   lp.AddRow(Row{{{a, 1}}, RowOp::kLe, 0});
-  EXPECT_TRUE(Presolve(lp).infeasible);
+  for (Sense sense : {Sense::kMaximize, Sense::kMinimize}) {
+    EXPECT_EQ(MipSolver().Solve(lp, sense).status, SolveStatus::kInfeasible);
+  }
+}
+
+TEST(Mip, ViolatedEmptyRowIsInfeasible) {
+  // `0 >= 1` constrains no variable, so decomposition drops it into no
+  // component; it must still make the program infeasible, with or without
+  // decomposition. A satisfied empty row (`0 <= 1`) changes nothing.
+  LinearProgram lp;
+  VarId a = lp.AddBinary();
+  lp.SetObjectiveCoef(a, 1.0);
+  lp.AddRow(Row{{}, RowOp::kLe, 1});
+  MipOptions whole;
+  whole.use_decomposition = false;
+  for (const MipOptions& opt : {MipOptions{}, whole}) {
+    const MipResult ok = MipSolver(opt).Solve(lp, Sense::kMaximize);
+    ASSERT_EQ(ok.status, SolveStatus::kOptimal);
+    EXPECT_EQ(ok.objective, 1.0);
+  }
+  lp.AddRow(Row{{}, RowOp::kGe, 1});
+  for (const MipOptions& opt : {MipOptions{}, whole}) {
+    EXPECT_EQ(MipSolver(opt).Solve(lp, Sense::kMaximize).status,
+              SolveStatus::kInfeasible);
+    EXPECT_EQ(MipSolver(opt).SolveMinMax(lp).min.status,
+              SolveStatus::kInfeasible);
+  }
 }
 
 // ---- Decomposition ----
@@ -159,7 +205,9 @@ TEST(Decompose, SplitsIndependentBlocks) {
   VarId lone = lp.AddBinary();  // appears in no row
   lp.AddRow(Row{{{a, 1}, {b, 1}}, RowOp::kLe, 1});
   lp.AddRow(Row{{{c, 1}, {d, 1}}, RowOp::kGe, 1});
-  auto comps = Decompose(lp);
+  bool infeasible = true;
+  auto comps = Decompose(lp, &infeasible);
+  EXPECT_FALSE(infeasible);
   ASSERT_EQ(comps.size(), 3u);
   size_t total_vars = 0, total_rows = 0;
   for (const auto& comp : comps) {
@@ -377,11 +425,10 @@ TEST(Mip, SolverOptionTogglesAgree) {
   }
   MipResult base = MipSolver().Solve(lp, Sense::kMaximize);
   ASSERT_EQ(base.status, SolveStatus::kOptimal);
-  for (int mask = 0; mask < 8; ++mask) {
+  for (int mask = 0; mask < 4; ++mask) {
     MipOptions o;
-    o.use_presolve = mask & 1;
-    o.use_decomposition = mask & 2;
-    o.use_lp_bound = mask & 4;
+    o.use_decomposition = mask & 1;
+    o.use_lp_bound = mask & 2;
     MipResult r = MipSolver(o).Solve(lp, Sense::kMaximize);
     ASSERT_EQ(r.status, SolveStatus::kOptimal) << "mask=" << mask;
     EXPECT_DOUBLE_EQ(r.objective, base.objective) << "mask=" << mask;

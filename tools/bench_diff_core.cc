@@ -46,8 +46,9 @@ const std::unordered_set<std::string>& BoundSet() {
 const std::unordered_set<std::string>& CounterSet() {
   static const std::unordered_set<std::string> kSet = {
       "nodes", "lp_solves", "lp_pivots", "cache_misses", "canonical_forms",
-      "presolve_calls", "decompose_calls", "components", "warm_lp_solves",
+      "decompose_calls", "components", "warm_lp_solves",
       "strong_branch_solves", "cuts_generated", "rc_fixed_vars",
+      "root_completion_failures",
   };
   return kSet;
 }
